@@ -1,20 +1,31 @@
 """Server-side cracking loop: hash the keyspace, filter through the
 predicate, stream the survivors to a sink.
 
+The keyspace is enumerated in batches of up to ``keyspace._BLOCK_CAP``
+candidates, and each batch goes through the algorithm's block kernel
+(``hashers.scan_fn``) in one call.  The kernel hashes the batch, applies
+the predicate to each digest, and reports how many candidates it could
+not hash (NTLM skips those that are not UTF-8).
+
 The predicate is compiled to per-byte lookup tables evaluated in order of
-restrictiveness, so the per-hash cost is a hash call plus (on average)
-about one table probe regardless of decoy-set size.
+restrictiveness, so the per-hash cost is a hash plus (on average) about
+one table probe regardless of decoy-set size.
+
+``crack_parallel`` splits the keyspace into contiguous index ranges and
+scans them in a forked pool; each pool receives its job through its
+worker initializer, so concurrent jobs in one process stay apart.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import signal
 import time
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence
+from itertools import chain
+from typing import Callable, Iterator, Protocol, Sequence
 
 from . import hashers, keyspace
-from .hashers import CandidateEncodingError
 from .predicate import PredicateVector
 
 FLUSH_BATCH = 4096
@@ -90,45 +101,62 @@ def compile_checker(v: PredicateVector) -> Callable[[bytes], bool]:
     return check
 
 
+def _batches(spec: keyspace.KeyspaceSpec, start: int, stop: int
+             ) -> Iterator[Sequence[bytes]]:
+    """Candidates [start, stop) in enumeration order, in batches of at most
+    keyspace._BLOCK_CAP: small blocks are merged and large ones split, so
+    a kernel's working memory stays bounded."""
+    cap = keyspace._BLOCK_CAP
+    parts: list[Sequence[bytes]] = []
+    size = 0
+    for prefix, suffixes, lo, hi in keyspace.iter_blocks(spec, start, stop):
+        for at in range(lo, hi, cap):
+            part = suffixes[at:min(at + cap, hi)]
+            if prefix:
+                part = [prefix + s for s in part]
+            if size + len(part) > cap:
+                yield _joined(parts)
+                parts, size = [], 0
+            parts.append(part)
+            size += len(part)
+    if parts:
+        yield _joined(parts)
+
+
+def _joined(parts: list[Sequence[bytes]]) -> Sequence[bytes]:
+    return parts[0] if len(parts) == 1 else list(chain.from_iterable(parts))
+
+
 def _scan_range(v: PredicateVector, spec: keyspace.KeyspaceSpec,
                 algo_id: str, start: int, stop: int
                 ) -> tuple[int, int, list[tuple[bytes, bytes]]]:
     """Hash candidates [start, stop); return (hashed, skipped, hits)."""
-    hashfn = hashers.raw_fn(algo_id)
+    scan = hashers.scan_fn(algo_id)
     check = compile_checker(v)
     hits: list[tuple[bytes, bytes]] = []
-    append = hits.append
     hashed = skipped = 0
-    for prefix, suffixes, lo, hi in keyspace.iter_blocks(spec, start, stop):
-        chunk = suffixes if (not lo and hi == len(suffixes)) else suffixes[lo:hi]
-        if prefix:
-            chunk = [prefix + s for s in chunk]
-        hashed += len(chunk)
-        kept_before = len(hits)
-        try:
-            for pw in chunk:
-                d = hashfn(pw)
-                if check(d):
-                    append((pw, d))
-        except CandidateEncodingError:
-            # slow path: redo the block isolating per-candidate failures
-            del hits[kept_before:]
-            for pw in chunk:
-                try:
-                    d = hashfn(pw)
-                except CandidateEncodingError:
-                    skipped += 1
-                    continue
-                if check(d):
-                    append((pw, d))
+    for batch in _batches(spec, start, stop):
+        hashed += len(batch)
+        skipped += scan(batch, check, hits.append)
     return hashed, skipped, hits
 
 
-_FORK_CTX: tuple | None = None
+# the job of this pool worker process, set once by _init_worker
+_WORKER_JOB: tuple | None = None
+
+
+def _init_worker(v: PredicateVector, spec: keyspace.KeyspaceSpec,
+                 algo_id: str) -> None:
+    global _WORKER_JOB
+    # A SIGTERM handler inherited from the parent (threepc-server raises
+    # SystemExit from one) can leave a worker blocked in a lock wait alive
+    # through Pool.terminate(), and the job then never finishes.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    _WORKER_JOB = (v, spec, algo_id)
 
 
 def _chunk_worker(rng: tuple[int, int]):
-    v, spec, algo_id = _FORK_CTX  # inherited through fork
+    v, spec, algo_id = _WORKER_JOB
     return _scan_range(v, spec, algo_id, rng[0], rng[1])
 
 
@@ -188,22 +216,21 @@ def crack_parallel(v: PredicateVector, spec: keyspace.KeyspaceSpec,
         return CrackReport(hashed, hits, elapsed,
                            hashed / max(elapsed, 1e-9), skipped, partial)
 
-    global _FORK_CTX
     try:
         if n_workers == 1 or len(chunks) <= 1:
             for a, b in chunks:
                 consume(_scan_range(v, spec, algo_id, a, b))
         else:
-            _FORK_CTX = (v, spec, algo_id)
+            # fork hands the initializer's arguments to each worker
+            # without pickling them
             ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(n_workers) as pool:
+            with ctx.Pool(n_workers, initializer=_init_worker,
+                          initargs=(v, spec, algo_id)) as pool:
                 for result in pool.imap_unordered(_chunk_worker, chunks):
                     consume(result)
     except (Exception, KeyboardInterrupt) as exc:
         raise EngineAbortError(f"cracking aborted: {exc}", report(partial=True)
                                ) from exc
-    finally:
-        _FORK_CTX = None
     return report()
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from math import prod
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Sequence
 
 MAX_CANDIDATE_LEN = 256
 
@@ -136,14 +136,6 @@ class DirectoryCorpus:
             self._cache[name] = words
             self.reports[name] = report
         return self._cache[name]
-
-
-def mapping_corpus(corpora: Mapping[str, Sequence[bytes]]) -> CorpusProvider:
-    def provider(name: str) -> tuple[bytes, ...]:
-        if name not in corpora:
-            raise UnresolvedCorpusError(f"no corpus named {name!r}")
-        return tuple(corpora[name])
-    return provider
 
 
 def _parse_mask_tokens(mask: str, allow_word: bool) -> tuple[MaskToken, ...]:

@@ -1,4 +1,7 @@
 import random
+import signal
+import threading
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -20,13 +23,43 @@ import fixtures
 
 
 def oracle_pairs(v, spec, algo_id):
-    """Reference path: hash everything, filter with the pure predicate."""
-    out = []
+    """Reference path: hash everything one candidate at a time, filter with
+    the pure predicate; returns (pair multiset, skipped)."""
+    fn = hashers.raw_fn(algo_id)
+    pairs, skipped = Counter(), 0
     for pw in keyspace.enumerate_candidates(spec):
-        raw = hashers.raw_digest(algo_id, pw)
+        try:
+            raw = fn(pw)
+        except hashers.CandidateEncodingError:
+            skipped += 1
+            continue
         if eval_predicate(v, Digest.from_bytes(raw)):
-            out.append((pw, raw))
-    return out
+            pairs[(pw, raw)] += 1
+    return pairs, skipped
+
+
+def run_in_thread(fn, timeout):
+    """fn() in a daemon thread; its result, or a failure if it does not
+    finish within timeout seconds."""
+    out = {}
+
+    def body():
+        try:
+            out["result"] = fn()
+        except BaseException as exc:  # reported to the test below
+            out["error"] = exc
+
+    t = threading.Thread(target=body, daemon=True)
+    t.start()
+    t.join(timeout)
+    assert not t.is_alive(), f"no result within {timeout} s"
+    if "error" in out:
+        raise out["error"]
+    return out["result"]
+
+
+def raise_system_exit(signum, frame):
+    raise SystemExit(0)
 
 
 def random_vector(rng, length):
@@ -57,6 +90,28 @@ class TestCompileChecker:
             compile_checker(PredicateVector(((0, 15),) * 3))
 
 
+class TestBatches:
+    def test_cover_range_in_order_and_fill_up_to_cap(self, monkeypatch):
+        rng = random.Random(7)
+        words = tuple(b"w%d" % i for i in range(40))
+        specs = [keyspace.make_keyspace(d, words=words) for d in (
+            "mask:?d?d?d", "mask:a?l?d", "wordlist:w", "hybrid:w:?w?d")]
+        for _ in range(60):
+            spec = rng.choice(specs)
+            cap = rng.choice((1, 3, 16, 45, 100, 5000))
+            monkeypatch.setattr(keyspace, "_BLOCK_CAP", cap)
+            total = keyspace.spec_cardinality(spec)
+            start = rng.randrange(total)
+            stop = rng.randrange(start, total + 1)
+            batches = [list(b) for b in engine._batches(spec, start, stop)]
+            assert [pw for b in batches for pw in b] == list(
+                keyspace.enumerate_range(spec, start, stop))
+            assert all(0 < len(b) <= cap for b in batches)
+            # a batch is cut only where the next one would not fit
+            assert all(len(a) + len(b) > cap
+                       for a, b in zip(batches, batches[1:]))
+
+
 class TestCrack:
     def test_matches_oracle_on_random_instances(self):
         rng = random.Random(0xACE)
@@ -66,9 +121,9 @@ class TestCrack:
             v = random_vector(rng, 8)
             sink = ListSink()
             report = crack(v, spec, "crc32", sink)
-            expected = oracle_pairs(v, spec, "crc32")
-            assert sorted(sink.pairs) == sorted(expected)
-            assert report.hit_count == len(expected)
+            expected, _ = oracle_pairs(v, spec, "crc32")
+            assert Counter(sink.pairs) == expected
+            assert report.hit_count == sum(expected.values())
             assert report.hashed_count == keyspace.spec_cardinality(spec)
 
     def test_singleton_vector_finds_member(self):
@@ -136,6 +191,95 @@ class TestCrackParallel:
         crack(zk_vector(8), spec, "crc32", a)
         crack_parallel(zk_vector(8), spec, "crc32", b, n_workers=1)
         assert a.pairs == b.pairs
+
+    def test_concurrent_jobs_stay_apart(self):
+        # two multi-worker jobs in one process, as a server with several
+        # clients runs them; each must see only its own vector and keyspace
+        rng = random.Random(11)
+        jobs = [(random_vector(rng, 8), keyspace.make_keyspace(desc))
+                for desc in ("mask:?d?d?d?d?d", "mask:?l?l?l")]
+        expected = []
+        for v, spec in jobs:
+            sink = ListSink()
+            crack(v, spec, "crc32", sink)
+            expected.append(Counter(sink.pairs))
+        for _ in range(4):
+            start = threading.Barrier(len(jobs))
+            results = [None] * len(jobs)
+
+            def run(i, v, spec):
+                sink = ListSink()
+                start.wait()
+                crack_parallel(v, spec, "crc32", sink, n_workers=2)
+                results[i] = Counter(sink.pairs)
+
+            threads = [threading.Thread(target=run, args=(i, v, spec),
+                                        daemon=True)
+                       for i, (v, spec) in enumerate(jobs)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+                assert not t.is_alive()
+            assert results == expected
+
+    def test_workers_survive_inherited_sigterm_handler(self):
+        # threepc-server installs a SIGTERM handler that raises SystemExit;
+        # with it inherited, an idle worker could outlive Pool.terminate()
+        # (in roughly 1% of runs) and the job never returned
+        spec = keyspace.make_keyspace("mask:?d?d?d?d")
+        v = random_vector(random.Random(3), 8)
+        serial = ListSink()
+        crack(v, spec, "crc32", serial)
+        old = signal.signal(signal.SIGTERM, raise_system_exit)
+        try:
+            for _ in range(20):
+                sink = ListSink()
+                run_in_thread(lambda: crack_parallel(v, spec, "crc32", sink,
+                                                     n_workers=2), 30)
+                assert sorted(sink.pairs) == sorted(serial.pairs)
+        finally:
+            signal.signal(signal.SIGTERM, old)
+
+    def test_workers_reset_sigterm_to_default(self, monkeypatch):
+        def probe(block, check, append):
+            default = signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+            for pw in block:
+                append((pw, bytes([default])))
+            return 0
+
+        monkeypatch.setattr(hashers, "scan_fn", lambda algo_id: probe)
+        spec = keyspace.make_keyspace("mask:?d?d")
+        old = signal.signal(signal.SIGTERM, raise_system_exit)
+        try:
+            sink = ListSink()
+            run_in_thread(lambda: crack_parallel(zk_vector(8), spec, "crc32",
+                                                 sink, n_workers=2), 30)
+        finally:
+            signal.signal(signal.SIGTERM, old)
+        assert len(sink.pairs) == 100
+        assert {d for _, d in sink.pairs} == {b"\x01"}
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("block_cap", [keyspace._BLOCK_CAP, 70])
+    def test_ntlm_hybrid_matches_raw_fn_oracle(self, monkeypatch, n_workers,
+                                               block_cap):
+        # a small block cap makes batches merge and split across blocks
+        monkeypatch.setattr(keyspace, "_BLOCK_CAP", block_cap)
+        words = ("café".encode(), "naïve".encode(), "Ünïcödé".encode(),
+                 b"plain", "\U0001f511key".encode(), b"\xe9t\xe9",
+                 b"lat\xefn", b"\xed\xa0\x80sur", b"x" * 40)
+        spec = keyspace.make_keyspace("hybrid:w:?w?d?s", words=words)
+        v = PredicateVector(((0, 7), (2, 9)) + ((0, 15),) * 30)
+        for vector in (zk_vector(32), v):
+            pairs, skipped = oracle_pairs(vector, spec, "ntlm")
+            sink = ListSink()
+            report = crack_parallel(vector, spec, "ntlm", sink,
+                                    n_workers=n_workers)
+            assert Counter(sink.pairs) == pairs
+            assert report.skipped_count == skipped == 3 * 320
+            assert report.hit_count == sum(pairs.values())
+            assert report.hashed_count == len(words) * 320
 
     def test_workers_must_be_positive(self):
         spec = keyspace.make_keyspace("mask:?d")

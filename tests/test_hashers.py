@@ -1,10 +1,13 @@
 import random
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threepc import hashers
-from threepc._md4 import md4
+from threepc._md4 import md4, md4_batch
 from threepc.hashers import CandidateEncodingError, UnknownAlgoError
 
 import fixtures
@@ -26,6 +29,15 @@ class TestMd4:
     @pytest.mark.parametrize("message,expected", MD4_VECTORS)
     def test_rfc_vectors(self, message, expected):
         assert md4(message).hex() == expected
+
+    @pytest.mark.parametrize("message,expected", MD4_VECTORS)
+    def test_rfc_vectors_batched(self, message, expected):
+        out = md4_batch([message] * 3, len(message))
+        assert out == [bytes.fromhex(expected)] * 3
+
+    def test_batch_rejects_unequal_lengths(self):
+        with pytest.raises(ValueError):
+            md4_batch([b"a", b"abc"], 2)
 
     def test_multi_block_messages(self):
         # exercise the padding boundary around one 64-byte block
@@ -89,6 +101,44 @@ class TestBackends:
                 got = list(pool.map(lambda pw: hashers.raw_digest("sha256", pw),
                                     inputs))
                 assert got == expected
+
+
+# candidates for the NTLM kernel: arbitrary bytes, valid UTF-8 (BMP and
+# astral), lone surrogates encoded as UTF-8 (which Python rejects), and
+# text long enough that its UTF-16LE form spans several MD4 blocks
+_SURROGATES = st.integers(0xD800, 0xDFFF).map(
+    lambda cp: bytes([0xE0 | cp >> 12, 0x80 | (cp >> 6) & 0x3F,
+                      0x80 | cp & 0x3F]))
+_candidate = st.one_of(
+    st.binary(max_size=300),
+    st.text(max_size=100).map(lambda t: t.encode("utf-8")[:300]),
+    st.text(st.characters(min_codepoint=0x10000), max_size=75).map(
+        lambda t: t.encode("utf-8")),
+    st.tuples(st.text(max_size=20), _SURROGATES, st.text(max_size=20)).map(
+        lambda p: p[0].encode("utf-8") + p[1] + p[2].encode("utf-8")),
+    st.integers(0, 150).map(lambda n: "é".encode("utf-8") * n),
+)
+
+
+def ntlm_oracle(block):
+    hits, skipped = Counter(), 0
+    for pw in block:
+        try:
+            text = pw.decode("utf-8")
+        except UnicodeDecodeError:
+            skipped += 1
+            continue
+        hits[(pw, md4(text.encode("utf-16-le")))] += 1
+    return hits, skipped
+
+
+class TestNtlmKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_candidate, max_size=40))
+    def test_matches_md4_oracle(self, block):
+        hits = []
+        skipped = hashers.scan_fn("ntlm")(block, lambda d: True, hits.append)
+        assert (Counter(hits), skipped) == ntlm_oracle(block)
 
 
 class TestMeasureRate:
