@@ -3,12 +3,13 @@
 Exit codes (disjoint, exhaustive):
 
     0  success; for `verify`: target cracked and no foul play suspected
-    1  generic failure (bind failure, aborted run)
+    1  generic failure (bind failure; aborted run, partial potfile kept)
     2  parse or configuration error (flags, plan/potfile files)
     3  verify: target not cracked, but the server looks honest
     4  verify: foul play suspected (deviation or spot-check failure)
     5  connection error (refused, lost mid-job; partial potfile kept)
-    6  protocol error (server error reply or malformed traffic)
+    6  protocol error (server error reply, malformed traffic or
+       candidate chunks)
     7  plan refused: a vector already exists for this target
     8  planning infeasible within tolerance (widen-tolerance error)
 """
@@ -16,7 +17,6 @@ Exit codes (disjoint, exhaustive):
 from __future__ import annotations
 
 import argparse
-import binascii
 import os
 import random
 import signal
@@ -151,25 +151,20 @@ def cmd_run(args) -> int:
         except (ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARSE
-        sink = engine.ListSink()
 
         def progress(hashed: int, rate: float, eta: float) -> None:
             print(f"progress: {hashed:,} hashed, {rate:,.0f} H/s, "
                   f"ETA {eta:.0f}s", file=sys.stderr)
 
         try:
-            report = engine.crack_parallel(vector, spec, plan.algo_id, sink,
-                                           n_workers=args.workers,
-                                           progress=progress)
+            with potfile.PotfileWriter(out) as sink:
+                report = engine.crack_parallel(
+                    vector, spec, plan.algo_id, sink,
+                    n_workers=args.workers, progress=progress)
         except engine.EngineAbortError as exc:
             print(f"error: {exc}", file=sys.stderr)
             _write_run_report(report_path, args.plan, exc.report, plan.seed)
             return EXIT_FAILURE
-        lines = sorted(
-            binascii.hexlify(digest) + b":" + password + b"\n"
-            for password, digest in sink.pairs
-        )
-        out.write_bytes(b"".join(lines))
         _write_run_report(report_path, args.plan, report, plan.seed)
         return EXIT_OK
 

@@ -14,6 +14,10 @@ one table probe regardless of decoy-set size.
 ``crack_parallel`` splits the keyspace into contiguous index ranges and
 scans them in a forked pool; each pool receives its job through its
 worker initializer, so concurrent jobs in one process stay apart.
+
+The sink receives pairs in keyspace enumeration order at any worker
+count: kernels append hits in block order and ranges are consumed in
+index order, so a sink can stream its output byte-reproducibly.
 """
 
 from __future__ import annotations
@@ -174,7 +178,8 @@ def crack_parallel(v: PredicateVector, spec: keyspace.KeyspaceSpec,
                    algo_id: str, sink: Sink, n_workers: int = 1,
                    progress: Callable[[int, float, float], None] | None = None
                    ) -> CrackReport:
-    """Same pair multiset as crack(); pair order is unspecified.
+    """Same pair sequence as crack(): enumeration order, whatever
+    n_workers is.
 
     progress, when given, is called at most every 10^7 hashes with
     (hashed so far, hashes/second, estimated seconds remaining).
@@ -226,7 +231,7 @@ def crack_parallel(v: PredicateVector, spec: keyspace.KeyspaceSpec,
             ctx = multiprocessing.get_context("fork")
             with ctx.Pool(n_workers, initializer=_init_worker,
                           initargs=(v, spec, algo_id)) as pool:
-                for result in pool.imap_unordered(_chunk_worker, chunks):
+                for result in pool.imap(_chunk_worker, chunks):
                     consume(result)
     except (Exception, KeyboardInterrupt) as exc:
         raise EngineAbortError(f"cracking aborted: {exc}", report(partial=True)

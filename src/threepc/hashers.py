@@ -4,7 +4,8 @@ Each algorithm has two entry points.  ``raw_fn`` hashes one password and
 serves single digests (client, verifier, tests).  ``scan_fn`` is the
 engine's block kernel: ``scan(block, check, append) -> skipped`` hashes a
 list of candidates, calls ``append((password, digest))`` for each digest
-that ``check`` accepts, and returns how many candidates it could not hash.
+that ``check`` accepts, in block order, and returns how many candidates it
+could not hash.
 """
 
 from __future__ import annotations
@@ -78,23 +79,26 @@ _utf16le = codecs.utf_16_le_encode
 
 def _ntlm_scan(block: Sequence[bytes], check: Check, append: Append) -> int:
     """Skip candidates that are not UTF-8, then run MD4 column-wise over
-    each group of equal UTF-16LE length."""
-    groups: defaultdict[int, tuple[list[bytes], list[bytes]]] = defaultdict(
+    each group of equal UTF-16LE length; hits go out in block order."""
+    groups: defaultdict[int, tuple[list[int], list[bytes]]] = defaultdict(
         lambda: ([], []))
     skipped = 0
-    for pw in block:
+    for i, pw in enumerate(block):
         try:
             msg = _utf16le(pw.decode("utf-8"))[0]
         except UnicodeDecodeError:
             skipped += 1
             continue
-        pws, msgs = groups[len(msg)]
-        pws.append(pw)
+        indices, msgs = groups[len(msg)]
+        indices.append(i)
         msgs.append(msg)
-    for length, (pws, msgs) in groups.items():
-        for pw, d in zip(pws, md4_batch(msgs, length)):
-            if check(d):
-                append((pw, d))
+    hits: list[tuple[int, bytes]] = []
+    for length, (indices, msgs) in groups.items():
+        hits += [(i, d) for i, d in zip(indices, md4_batch(msgs, length))
+                 if check(d)]
+    hits.sort()  # one pass when there is a single length group
+    for i, d in hits:
+        append((block[i], d))
     return skipped
 
 
@@ -140,7 +144,8 @@ def raw_fn(algo_id: str) -> Callable[[bytes], bytes]:
 
 def scan_fn(algo_id: str) -> ScanFn:
     """The block kernel ``scan(block, check, append) -> skipped``; the
-    engine's hot path."""
+    engine's hot path.  Hits are appended in block order, so the engine's
+    output follows keyspace enumeration order."""
     try:
         return _REGISTRY[algo_id][2]
     except KeyError:

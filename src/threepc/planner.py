@@ -579,7 +579,8 @@ def build_plan(target: Digest, algo_id: str, keyspace_descriptor: str,
 
 
 class PlanStore:
-    """Directory of plan files; refuses a second vector for any target."""
+    """Directory of plan files; refuses a second vector for any target,
+    by exclusive create, so of concurrent saves exactly one succeeds."""
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -587,30 +588,16 @@ class PlanStore:
     def path_for(self, target_hex: str) -> Path:
         return self.root / f"{target_hex.lower()}.plan"
 
-    def find(self, target_hex: str) -> Plan | None:
-        target_hex = target_hex.lower()
-        if not self.root.is_dir():
-            return None
-        for path in self.root.glob("*.plan"):
-            try:
-                plan = Plan.from_text(path.read_text())
-            except ValueError:
-                continue
-            if plan.target_hex.lower() == target_hex:
-                return plan
-        return None
-
     def save(self, plan: Plan) -> Path:
-        if self.find(plan.target_hex) is not None:
+        self.root.mkdir(parents=True, exist_ok=True)
+        path = self.path_for(plan.target_hex)
+        try:
+            with open(path, "x") as fh:
+                fh.write(plan.to_text())
+        except FileExistsError:
             raise DuplicatePlanError(
                 f"a vector was already generated for target "
                 f"{plan.target_hex}; generating another would narrow the "
                 f"decoy set, refusing"
-            )
-        self.root.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(plan.target_hex)
-        path.write_text(plan.to_text())
+            ) from None
         return path
-
-    def load(self, path: str | Path) -> Plan:
-        return Plan.from_text(Path(path).read_text())

@@ -30,12 +30,16 @@ class PotfileWriter:
         self.pairs_written = 0
 
     def write_batch(self, pairs: list[tuple[bytes, bytes]]) -> None:
+        """Append one record per pair; a batch with a password that holds
+        a newline is refused whole (ValueError), as no record can hold one."""
         out = bytearray()
         for password, digest in pairs:
             out += binascii.hexlify(digest)
             out += b":"
             out += password
             out += b"\n"
+        if out.count(b"\n") != len(pairs):
+            raise ValueError("a password contains a newline")
         self._fh.write(out)
         self.pairs_written += len(pairs)
 

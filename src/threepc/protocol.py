@@ -14,6 +14,7 @@ descriptor.
 
 from __future__ import annotations
 
+import binascii
 import socket
 import socketserver
 import struct
@@ -21,9 +22,8 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO
 
-from . import engine, hashers, keyspace, planner, verifier
+from . import engine, hashers, keyspace, planner, potfile, verifier
 from .keyspace import DirectoryCorpus, UnresolvedCorpusError
 from .planner import Plan
 from .predicate import parse_vector, serialize_vector
@@ -252,7 +252,6 @@ class _ChunkSink:
 
     def __init__(self, sock: socket.socket):
         self._sock = sock
-        self.hit_count = 0
 
     def write_batch(self, pairs: list[tuple[bytes, bytes]]) -> None:
         for i in range(0, len(pairs), CHUNK_PAIRS):
@@ -261,7 +260,6 @@ class _ChunkSink:
                 (digest.hex(), password) for password, digest in batch
             ))
             send_message(self._sock, chunk)
-            self.hit_count += len(batch)
 
 
 class _JobHandler(socketserver.BaseRequestHandler):
@@ -335,7 +333,7 @@ class _JobHandler(socketserver.BaseRequestHandler):
         report = engine.crack_parallel(vector, spec, job.algo_id, sink,
                                        n_workers=server.workers)
         elapsed_ms = int((time.perf_counter() - start) * 1000)
-        send_message(sock, JobDone(report.hashed_count, sink.hit_count,
+        send_message(sock, JobDone(report.hashed_count, report.hit_count,
                                    elapsed_ms))
 
 
@@ -381,15 +379,6 @@ class CrackServer:
         self.shutdown()
 
 
-def serve(listen: tuple[str, int], corpus_dir: str | Path | None,
-          workers: int = 1, rate_budget: int = 100_000,
-          max_frame: int = DEFAULT_MAX_FRAME) -> None:
-    """Run the daemon until interrupted (CLI entry)."""
-    server = CrackServer(listen[0], listen[1], corpus_dir, workers,
-                         rate_budget, max_frame)
-    server.serve_forever()
-
-
 # ---------------------------------------------------------------------------
 # Client
 
@@ -423,16 +412,16 @@ def run_job(plan: Plan, endpoint: tuple[str, int], potfile_path: str | Path,
             timeout: float | None = None) -> engine.CrackReport:
     """Submit a planned job and stream the candidate set to a potfile.
 
-    On connection loss the partial potfile is kept and the raised error
-    carries a partial report.
+    Malformed candidates and a JobDone whose hit count disagrees with the
+    pairs received raise ProtocolViolation.  On connection loss the partial
+    potfile is kept and the raised error carries a partial report.
     """
     if len(inline_corpus) > INLINE_CORPUS_CAP:
         raise ValueError("inline corpus exceeds the 256 MiB cap")
     potfile_path = Path(potfile_path)
     sock = _connect(endpoint, timeout)
-    hit_count = 0
     try:
-        with sock, open(potfile_path, "wb") as out:
+        with sock, potfile.PotfileWriter(potfile_path) as out:
             send_message(sock, HashInfoRequest(plan.algo_id), tx_log)
             ack = recv_message(sock)
             if isinstance(ack, ErrorReply):
@@ -450,18 +439,25 @@ def run_job(plan: Plan, endpoint: tuple[str, int], potfile_path: str | Path,
             while True:
                 msg = recv_message(sock)
                 if isinstance(msg, CandidateChunk):
-                    lines = bytearray()
-                    for digest_hex, password in msg.pairs:
-                        lines += digest_hex.encode("ascii")
-                        lines += b":"
-                        lines += password
-                        lines += b"\n"
-                    out.write(lines)
-                    hit_count += len(msg.pairs)
+                    try:
+                        pairs = [(pw, binascii.unhexlify(digest_hex))
+                                 for digest_hex, pw in msg.pairs]
+                        widths = {len(d) for _, d in pairs}
+                        if widths - {ack.digest_nibbles // 2}:
+                            raise ValueError(f"digest widths {widths}")
+                        out.write_batch(pairs)
+                    except ValueError as exc:
+                        raise ProtocolViolation("bad-candidate",
+                                                str(exc)) from None
                 elif isinstance(msg, JobDone):
+                    if msg.hit_count != out.pairs_written:
+                        raise ProtocolViolation(
+                            "bad-count",
+                            f"server reports {msg.hit_count} hits, sent "
+                            f"{out.pairs_written}")
                     elapsed = msg.elapsed_ms / 1000.0
                     return engine.CrackReport(
-                        msg.hashed_count, msg.hit_count, elapsed,
+                        msg.hashed_count, out.pairs_written, elapsed,
                         msg.hashed_count / max(elapsed, 1e-9))
                 elif isinstance(msg, ErrorReply):
                     raise ServerError(msg.code, msg.text)
@@ -469,7 +465,7 @@ def run_job(plan: Plan, endpoint: tuple[str, int], potfile_path: str | Path,
                     raise ProtocolViolation(
                         "protocol-order", f"unexpected mid-job {msg!r}")
     except ConnectionLostError as exc:
-        report = engine.CrackReport(0, hit_count, 0.0, 0.0, partial=True)
+        report = engine.CrackReport(0, out.pairs_written, 0.0, 0.0, partial=True)
         raise ConnectionLostError(
             f"{exc}; partial candidate set retained at {potfile_path}",
             SessionResult(plan, report, None, potfile_path),

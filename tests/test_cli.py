@@ -1,4 +1,5 @@
 import os
+import random
 import re
 import signal
 import subprocess
@@ -7,9 +8,10 @@ import time
 
 import pytest
 
-from threepc import hashers
+from threepc import hashers, potfile
 from threepc.cli import (
     EXIT_CONNECTION,
+    EXIT_FAILURE,
     EXIT_FOUL_PLAY,
     EXIT_NO_SMOOTH,
     EXIT_NOT_CRACKED,
@@ -25,12 +27,14 @@ import fixtures
 
 
 def make_plan(tmp_path, capsys, target_pw=b"w0042", r=30.0, seed=7,
-              descriptor=None, corpus_words=2000):
+              descriptor=None, corpus_words=2000, algo="crc32", words=None):
     corpus = tmp_path / "corpus.txt"
-    corpus.write_bytes(b"\n".join(b"w%04d" % i for i in range(corpus_words)))
-    target = hashers.digest("crc32", target_pw).hex
+    if words is None:
+        words = [b"w%04d" % i for i in range(corpus_words)]
+    corpus.write_bytes(b"\n".join(words))
+    target = hashers.digest(algo, target_pw).hex
     code = client_main([
-        "plan", "--algo", "crc32", "--target", target,
+        "plan", "--algo", algo, "--target", target,
         "--keyspace", descriptor or "wordlist:corpus",
         "--corpus-file", str(corpus), "--r", str(r), "--seed", str(seed),
         "--plan-store", str(tmp_path / "plans"),
@@ -115,17 +119,48 @@ class TestRunOffline:
         assert any(pw == b"w0042" for _, _, pw in records)
 
     def test_offline_runs_are_byte_reproducible(self, tmp_path, capsys):
-        plan_path, corpus, _ = make_plan(tmp_path, capsys)
-        outs = []
-        for name, workers in (("r1.pot", 1), ("r2.pot", 2)):
-            out = tmp_path / name
-            assert client_main([
-                "run", "--plan", str(plan_path), "--out", str(out),
-                "--offline", "--corpus-file", str(corpus),
-                "--workers", str(workers),
-            ]) == EXIT_OK
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+        (tmp_path / "ntlm").mkdir()
+        # words whose lengths go up and down, accented, and not UTF-8
+        # (skipped)
+        rng = random.Random(3)
+        words = [b"w" * rng.randint(1, 6) + b"%d" % i for i in range(80)] + [
+            "café".encode(), "naïve".encode(), b"\xe9t\xe9", b"lat\xefn"]
+        plans = [make_plan(tmp_path, capsys)[:2], make_plan(
+            tmp_path / "ntlm", capsys, algo="ntlm", r=400.0, words=words,
+            descriptor="hybrid:corpus:?w?d?d")[:2]]
+        for plan_path, corpus in plans:
+            outs = []
+            for workers in (1, 2, 3):
+                out = tmp_path / f"r{workers}.pot"
+                assert client_main([
+                    "run", "--plan", str(plan_path), "--out", str(out),
+                    "--offline", "--corpus-file", str(corpus),
+                    "--workers", str(workers),
+                ]) == EXIT_OK
+                outs.append(out.read_bytes())
+            assert outs[0] and outs[0] == outs[1] == outs[2]
+        report = (tmp_path / "r3.pot.report").read_text()
+        assert "skipped_count = 200" in report
+
+    def test_aborted_run_keeps_partial_potfile(self, tmp_path, capsys,
+                                               monkeypatch):
+        plan_path, corpus, _ = make_plan(tmp_path, capsys, r=400.0)
+        write_batch = potfile.PotfileWriter.write_batch
+
+        def fail_after_first_batch(writer, pairs):
+            if writer.pairs_written:
+                raise OSError("disk full")
+            write_batch(writer, pairs)
+
+        monkeypatch.setattr(potfile.PotfileWriter, "write_batch",
+                            fail_after_first_batch)
+        out = tmp_path / "out.pot"
+        assert client_main([
+            "run", "--plan", str(plan_path), "--out", str(out), "--offline",
+            "--corpus-file", str(corpus), "--workers", "1",
+        ]) == EXIT_FAILURE
+        assert "partial = true" in (tmp_path / "out.pot.report").read_text()
+        assert read_potfile(out, 8)
 
     def test_empty_keyspace_gives_empty_potfile(self, tmp_path, capsys):
         plan_path, corpus, _ = make_plan(tmp_path, capsys)
@@ -207,7 +242,7 @@ class TestVerifyCommand:
 def test_server_bind_failure_exits_one(tmp_path):
     import socket
 
-    from threepc.cli import EXIT_FAILURE, server_main
+    from threepc.cli import server_main
 
     with socket.socket() as holder:
         holder.bind(("127.0.0.1", 0))
@@ -250,9 +285,8 @@ class TestServerProcess:
                 "run", "--plan", str(plan_path), "--out", str(off_out),
                 "--offline", "--corpus-file", str(corpus_file),
             ]) == EXIT_OK
-            net = sorted((d, pw) for _, d, pw in read_potfile(net_out, 8))
-            off = sorted((d, pw) for _, d, pw in read_potfile(off_out, 8))
-            assert net == off
+            assert net_out.read_bytes() == off_out.read_bytes()
+            assert read_potfile(net_out, 8)
         finally:
             proc.terminate()
             proc.wait(timeout=10)

@@ -1,7 +1,6 @@
 import random
 import signal
 import threading
-from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -24,9 +23,9 @@ import fixtures
 
 def oracle_pairs(v, spec, algo_id):
     """Reference path: hash everything one candidate at a time, filter with
-    the pure predicate; returns (pair multiset, skipped)."""
+    the pure predicate; returns (pairs in enumeration order, skipped)."""
     fn = hashers.raw_fn(algo_id)
-    pairs, skipped = Counter(), 0
+    pairs, skipped = [], 0
     for pw in keyspace.enumerate_candidates(spec):
         try:
             raw = fn(pw)
@@ -34,7 +33,7 @@ def oracle_pairs(v, spec, algo_id):
             skipped += 1
             continue
         if eval_predicate(v, Digest.from_bytes(raw)):
-            pairs[(pw, raw)] += 1
+            pairs.append((pw, raw))
     return pairs, skipped
 
 
@@ -122,8 +121,8 @@ class TestCrack:
             sink = ListSink()
             report = crack(v, spec, "crc32", sink)
             expected, _ = oracle_pairs(v, spec, "crc32")
-            assert Counter(sink.pairs) == expected
-            assert report.hit_count == sum(expected.values())
+            assert sink.pairs == expected
+            assert report.hit_count == len(expected)
             assert report.hashed_count == keyspace.spec_cardinality(spec)
 
     def test_singleton_vector_finds_member(self):
@@ -181,7 +180,7 @@ class TestCrackParallel:
         serial, parallel = ListSink(), ListSink()
         rep1 = crack(v, spec, "crc32", serial)
         rep2 = crack_parallel(v, spec, "crc32", parallel, n_workers=2)
-        assert sorted(serial.pairs) == sorted(parallel.pairs)
+        assert serial.pairs == parallel.pairs
         assert rep1.hashed_count == rep2.hashed_count == 10 ** 5
         assert rep1.hit_count == rep2.hit_count
 
@@ -202,7 +201,7 @@ class TestCrackParallel:
         for v, spec in jobs:
             sink = ListSink()
             crack(v, spec, "crc32", sink)
-            expected.append(Counter(sink.pairs))
+            expected.append(sink.pairs)
         for _ in range(4):
             start = threading.Barrier(len(jobs))
             results = [None] * len(jobs)
@@ -211,7 +210,7 @@ class TestCrackParallel:
                 sink = ListSink()
                 start.wait()
                 crack_parallel(v, spec, "crc32", sink, n_workers=2)
-                results[i] = Counter(sink.pairs)
+                results[i] = sink.pairs
 
             threads = [threading.Thread(target=run, args=(i, v, spec),
                                         daemon=True)
@@ -237,7 +236,7 @@ class TestCrackParallel:
                 sink = ListSink()
                 run_in_thread(lambda: crack_parallel(v, spec, "crc32", sink,
                                                      n_workers=2), 30)
-                assert sorted(sink.pairs) == sorted(serial.pairs)
+                assert sink.pairs == serial.pairs
         finally:
             signal.signal(signal.SIGTERM, old)
 
@@ -260,7 +259,20 @@ class TestCrackParallel:
         assert len(sink.pairs) == 100
         assert {d for _, d in sink.pairs} == {b"\x01"}
 
-    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("algo_id", ["crc32", "sha256"])
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    def test_pair_sequence_matches_oracle(self, algo_id, n_workers):
+        # 16 chunks per worker; the sink must still see them in order
+        spec = keyspace.make_keyspace("mask:?l?d?d")
+        nibbles = hashers.descriptor(algo_id).digest_nibbles
+        v = PredicateVector(((0, 7), (2, 9)) + ((0, 15),) * (nibbles - 2))
+        pairs, _ = oracle_pairs(v, spec, algo_id)
+        sink = ListSink()
+        report = crack_parallel(v, spec, algo_id, sink, n_workers=n_workers)
+        assert sink.pairs == pairs
+        assert report.hit_count == len(pairs)
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
     @pytest.mark.parametrize("block_cap", [keyspace._BLOCK_CAP, 70])
     def test_ntlm_hybrid_matches_raw_fn_oracle(self, monkeypatch, n_workers,
                                                block_cap):
@@ -276,9 +288,9 @@ class TestCrackParallel:
             sink = ListSink()
             report = crack_parallel(vector, spec, "ntlm", sink,
                                     n_workers=n_workers)
-            assert Counter(sink.pairs) == pairs
+            assert sink.pairs == pairs
             assert report.skipped_count == skipped == 3 * 320
-            assert report.hit_count == sum(pairs.values())
+            assert report.hit_count == len(pairs)
             assert report.hashed_count == len(words) * 320
 
     def test_workers_must_be_positive(self):

@@ -1,5 +1,6 @@
 import math
 import random
+import threading
 from fractions import Fraction
 
 import pytest
@@ -345,6 +346,36 @@ class TestPlanStore:
         retry = build_plan(target, "crc32", "mask:?d?d", 100, 5, seed=2)
         with pytest.raises(DuplicatePlanError):
             store.save(retry)
+
+    def test_concurrent_saves_for_one_target_store_one_vector(self, tmp_path):
+        store = PlanStore(tmp_path / "plans")
+        target = Digest.from_hex(fixtures.TOY1_TARGET_HEX, "crc32")
+        plans = [build_plan(target, "crc32", "mask:?d?d?d", 1000, 5, seed=s)
+                 for s in range(8)]
+        start = threading.Barrier(len(plans))
+        outcomes = [None] * len(plans)
+
+        def save(i):
+            start.wait()
+            try:
+                store.save(plans[i])
+                outcomes[i] = "saved"
+            except DuplicatePlanError:
+                outcomes[i] = "refused"
+
+        threads = [threading.Thread(target=save, args=(i,), daemon=True)
+                   for i in range(len(plans))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+            assert not t.is_alive()
+        assert sorted(outcomes) == ["refused"] * 7 + ["saved"]
+        winner = plans[outcomes.index("saved")]
+        assert len({p.vector_hex for p in plans}) > 1
+        assert store.path_for(target.hex).read_text() == winner.to_text()
+        assert [p.name for p in store.root.iterdir()] == [
+            store.path_for(target.hex).name]
 
     def test_malformed_plan_rejected(self):
         with pytest.raises(ValueError):

@@ -51,3 +51,14 @@ def test_malformed_lines_carry_line_numbers(tmp_path):
     with pytest.raises(PotfileParseError) as err:
         read_potfile(path, 8)
     assert err.value.line_no == 1
+
+
+def test_batch_with_newline_in_password_is_refused_whole(tmp_path):
+    path = tmp_path / "out.pot"
+    with PotfileWriter(path) as writer:
+        writer.write_batch([(b"first", bytes.fromhex("c6bfaba2"))])
+        with pytest.raises(ValueError):
+            writer.write_batch([(b"ok", bytes.fromhex("00ff00ff")),
+                                (b"two\nlines", bytes.fromhex("deadbeef"))])
+        assert writer.pairs_written == 1
+    assert path.read_bytes() == b"c6bfaba2:first\n"

@@ -1,12 +1,15 @@
 import random
 import socket
 import struct
+import threading
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threepc import hashers, keyspace, planner, protocol
+from threepc.cli import EXIT_PROTOCOL, client_main
 from threepc.engine import ListSink, crack
 from threepc.potfile import read_potfile
 from threepc.predicate import parse_vector, serialize_vector, zk_vector
@@ -183,6 +186,65 @@ class TestServer:
             free_port = probe.getsockname()[1]
         with pytest.raises(ConnectionLostError):
             run_job(plan, ("127.0.0.1", free_port), tmp_path / "z.pot")
+
+
+@contextmanager
+def scripted_server(pairs, hit_count, connections=1):
+    """A fake server on a loopback socket: each of its connections gets a
+    valid hash-info ack, one CandidateChunk of pairs, then JobDone(hit_count)."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        for _ in range(connections):
+            conn, _ = listener.accept()
+            with conn:
+                try:
+                    request = recv_message(conn)
+                    send_message(conn, HashInfoAck(request.algo_id, 8, 1000))
+                    recv_message(conn)
+                    send_message(conn, CandidateChunk(pairs))
+                    send_message(conn, JobDone(100, hit_count, 1))
+                except (OSError, ConnectionLostError):
+                    pass  # the client hung up first
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    with listener:
+        yield listener.getsockname()
+        thread.join(10)
+        assert not thread.is_alive()
+
+
+class TestHostileServer:
+    @pytest.mark.parametrize("pairs, hit_count", [
+        ((("c6bfabzz", b"pw"),), 1),
+        ((("c6bfab", b"pw"),), 1),
+        ((("c6bfaba2", b"two\nlines"),), 1),
+        ((("c6bfaba2", b"pw"),), 2),
+    ], ids=["non-hex-digest", "digest-width", "newline-in-password",
+            "hit-count"])
+    def test_malformed_results_are_protocol_violations(self, tmp_path,
+                                                       pairs, hit_count):
+        plan = _make_plan(seed=12)
+        plan_path = tmp_path / "job.plan"
+        plan_path.write_text(plan.to_text())
+        with scripted_server(pairs, hit_count, 2) as (host, port):
+            with pytest.raises(ProtocolViolation):
+                run_job(plan, (host, port), tmp_path / "a.pot", timeout=10)
+            assert client_main([
+                "run", "--plan", str(plan_path), "--out",
+                str(tmp_path / "b.pot"), "--server", f"{host}:{port}",
+                "--timeout", "10",
+            ]) == EXIT_PROTOCOL
+
+    def test_well_formed_results_are_written_in_lowercase(self, tmp_path):
+        pairs = (("C6BFABA2", b"pw"), ("00ff00ff", b"a:b"))
+        with scripted_server(pairs, 2) as endpoint:
+            report = run_job(_make_plan(seed=12), endpoint,
+                             tmp_path / "a.pot", timeout=10)
+        assert report.hit_count == 2
+        assert (tmp_path / "a.pot").read_bytes() == (
+            b"c6bfaba2:pw\n00ff00ff:a:b\n")
 
 
 class TestClientSession:
