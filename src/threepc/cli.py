@@ -4,7 +4,8 @@ Exit codes (disjoint, exhaustive):
 
     0  success; for `verify`: target cracked and no foul play suspected
     1  generic failure (bind failure; aborted run, partial potfile kept)
-    2  parse or configuration error (flags, plan/potfile files)
+    2  parse or configuration error (flags, plan/potfile files, corpus
+       file; a plan inconsistent with itself; an unwritable potfile)
     3  verify: target not cracked, but the server looks honest
     4  verify: foul play suspected (deviation or spot-check failure)
     5  connection error (refused, lost mid-job; partial potfile kept)
@@ -157,7 +158,12 @@ def cmd_run(args) -> int:
                   f"ETA {eta:.0f}s", file=sys.stderr)
 
         try:
-            with potfile.PotfileWriter(out) as sink:
+            sink = potfile.PotfileWriter(out)
+        except OSError as exc:
+            print(f"error: cannot write the potfile: {exc}", file=sys.stderr)
+            return EXIT_PARSE
+        try:
+            with sink:
                 report = engine.crack_parallel(
                     vector, spec, plan.algo_id, sink,
                     n_workers=args.workers, progress=progress)
@@ -173,15 +179,17 @@ def cmd_run(args) -> int:
         return EXIT_PARSE
     try:
         endpoint = protocol.parse_endpoint(args.server)
-    except ValueError as exc:
+        inline = (Path(args.corpus_file).read_bytes() if args.corpus_file
+                  else b"")
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    inline = b""
-    if args.corpus_file:
-        inline = Path(args.corpus_file).read_bytes()
     try:
         report = protocol.run_job(plan, endpoint, out, inline,
                                   timeout=args.timeout)
+    except OSError as exc:  # run_job's OSErrors all come from the potfile
+        print(f"error: cannot write the potfile: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except protocol.ConnectionLostError as exc:
         print(f"error: {exc}", file=sys.stderr)
         partial = exc.partial.report if exc.partial else engine.CrackReport(

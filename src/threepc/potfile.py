@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import binascii
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Iterator, Sequence
 
 
 class PotfileParseError(ValueError):
@@ -30,18 +30,33 @@ class PotfileWriter:
         self.pairs_written = 0
 
     def write_batch(self, pairs: list[tuple[bytes, bytes]]) -> None:
-        """Append one record per pair; a batch with a password that holds
-        a newline is refused whole (ValueError), as no record can hold one."""
-        out = bytearray()
-        for password, digest in pairs:
-            out += binascii.hexlify(digest)
-            out += b":"
-            out += password
-            out += b"\n"
-        if out.count(b"\n") != len(pairs):
+        """Append one record per (password, raw digest) pair; a batch with
+        a password that holds a newline is refused whole (ValueError), as
+        no record can hold one."""
+        self._write_lines([binascii.hexlify(digest) + b":" + password
+                           for password, digest in pairs])
+
+    def write_hex_batch(self, records: Sequence[tuple[str, bytes]],
+                        hex_width: int) -> None:
+        """Append one record per (digest hex, password) pair, as a server
+        sends them, with the digest in lowercase.  The batch is refused
+        whole (ValueError) if a digest is not hex_width hex digits or a
+        password holds a newline."""
+        digests = [digest_hex for digest_hex, _ in records]
+        if set(map(len, digests)) - {hex_width}:
+            raise ValueError(f"a digest is not {hex_width} hex digits wide")
+        binascii.unhexlify("".join(digests))  # not hex or not ASCII: ValueError
+        self._write_lines([digest_hex.lower().encode() + b":" + password
+                           for digest_hex, password in records])
+
+    def _write_lines(self, lines: list[bytes]) -> None:
+        if not lines:
+            return
+        out = b"\n".join(lines) + b"\n"
+        if out.count(b"\n") != len(lines):
             raise ValueError("a password contains a newline")
         self._fh.write(out)
-        self.pairs_written += len(pairs)
+        self.pairs_written += len(lines)
 
     def flush(self) -> None:
         self._fh.flush()

@@ -14,7 +14,6 @@ descriptor.
 
 from __future__ import annotations
 
-import binascii
 import socket
 import socketserver
 import struct
@@ -230,7 +229,11 @@ def send_message(sock: socket.socket, msg: Message,
     frame = encode_message(msg)
     if tx_log is not None:
         tx_log += frame
-    sock.sendall(frame)
+    try:
+        sock.sendall(frame)
+    except OSError as exc:
+        raise ConnectionLostError(f"connection failed mid-send: {exc}"
+                                  ) from exc
 
 
 def recv_message(sock: socket.socket,
@@ -278,7 +281,7 @@ class _JobHandler(socketserver.BaseRequestHandler):
     def _reply_error(self, sock, code: str, text: str) -> None:
         try:
             send_message(sock, ErrorReply(code, text))
-        except OSError:
+        except ConnectionLostError:
             pass
 
     def _run_job(self, server: "CrackServer", sock: socket.socket) -> None:
@@ -412,64 +415,69 @@ def run_job(plan: Plan, endpoint: tuple[str, int], potfile_path: str | Path,
             timeout: float | None = None) -> engine.CrackReport:
     """Submit a planned job and stream the candidate set to a potfile.
 
-    Malformed candidates and a JobDone whose hit count disagrees with the
-    pairs received raise ProtocolViolation.  On connection loss the partial
-    potfile is kept and the raised error carries a partial report.
+    The potfile is opened before the server is contacted, and an OSError
+    out of this function comes from the potfile alone: socket failures
+    raise ConnectionLostError.  Malformed candidates and a JobDone whose
+    hit count disagrees with the pairs received raise ProtocolViolation.
+    On connection loss the partial potfile is kept and the raised error
+    carries a partial report.
     """
     if len(inline_corpus) > INLINE_CORPUS_CAP:
         raise ValueError("inline corpus exceeds the 256 MiB cap")
     potfile_path = Path(potfile_path)
-    sock = _connect(endpoint, timeout)
-    try:
-        with sock, potfile.PotfileWriter(potfile_path) as out:
-            send_message(sock, HashInfoRequest(plan.algo_id), tx_log)
-            ack = recv_message(sock)
-            if isinstance(ack, ErrorReply):
-                raise ServerError(ack.code, ack.text)
-            if not isinstance(ack, HashInfoAck):
-                raise ProtocolViolation("protocol-order",
-                                        f"expected hash info ack, got {ack!r}")
-            if ack.digest_nibbles * 2 != len(plan.vector_hex):
+    with potfile.PotfileWriter(potfile_path) as out:
+        sock = _connect(endpoint, timeout)
+        try:
+            with sock:
+                return _exchange(sock, plan, out, inline_corpus, tx_log)
+        except ConnectionLostError as exc:
+            report = engine.CrackReport(0, out.pairs_written, 0.0, 0.0,
+                                        partial=True)
+            raise ConnectionLostError(
+                f"{exc}; partial candidate set retained at {potfile_path}",
+                SessionResult(plan, report, None, potfile_path),
+            ) from None
+
+
+def _exchange(sock: socket.socket, plan: Plan, out: potfile.PotfileWriter,
+              inline_corpus: bytes, tx_log: bytearray | None
+              ) -> engine.CrackReport:
+    send_message(sock, HashInfoRequest(plan.algo_id), tx_log)
+    ack = recv_message(sock)
+    if isinstance(ack, ErrorReply):
+        raise ServerError(ack.code, ack.text)
+    if not isinstance(ack, HashInfoAck):
+        raise ProtocolViolation("protocol-order",
+                                f"expected hash info ack, got {ack!r}")
+    if ack.digest_nibbles * 2 != len(plan.vector_hex):
+        raise ProtocolViolation(
+            "vector-length-mismatch",
+            "server digest length disagrees with the plan")
+    send_message(sock, JobSubmit(plan.algo_id, plan.vector_hex,
+                                 plan.keyspace_descriptor, inline_corpus),
+                 tx_log)
+    while True:
+        msg = recv_message(sock)
+        if isinstance(msg, CandidateChunk):
+            try:
+                out.write_hex_batch(msg.pairs, ack.digest_nibbles)
+            except ValueError as exc:
+                raise ProtocolViolation("bad-candidate", str(exc)) from None
+        elif isinstance(msg, JobDone):
+            if msg.hit_count != out.pairs_written:
                 raise ProtocolViolation(
-                    "vector-length-mismatch",
-                    "server digest length disagrees with the plan")
-            send_message(sock, JobSubmit(plan.algo_id, plan.vector_hex,
-                                         plan.keyspace_descriptor,
-                                         inline_corpus), tx_log)
-            while True:
-                msg = recv_message(sock)
-                if isinstance(msg, CandidateChunk):
-                    try:
-                        pairs = [(pw, binascii.unhexlify(digest_hex))
-                                 for digest_hex, pw in msg.pairs]
-                        widths = {len(d) for _, d in pairs}
-                        if widths - {ack.digest_nibbles // 2}:
-                            raise ValueError(f"digest widths {widths}")
-                        out.write_batch(pairs)
-                    except ValueError as exc:
-                        raise ProtocolViolation("bad-candidate",
-                                                str(exc)) from None
-                elif isinstance(msg, JobDone):
-                    if msg.hit_count != out.pairs_written:
-                        raise ProtocolViolation(
-                            "bad-count",
-                            f"server reports {msg.hit_count} hits, sent "
-                            f"{out.pairs_written}")
-                    elapsed = msg.elapsed_ms / 1000.0
-                    return engine.CrackReport(
-                        msg.hashed_count, out.pairs_written, elapsed,
-                        msg.hashed_count / max(elapsed, 1e-9))
-                elif isinstance(msg, ErrorReply):
-                    raise ServerError(msg.code, msg.text)
-                else:
-                    raise ProtocolViolation(
-                        "protocol-order", f"unexpected mid-job {msg!r}")
-    except ConnectionLostError as exc:
-        report = engine.CrackReport(0, out.pairs_written, 0.0, 0.0, partial=True)
-        raise ConnectionLostError(
-            f"{exc}; partial candidate set retained at {potfile_path}",
-            SessionResult(plan, report, None, potfile_path),
-        ) from None
+                    "bad-count",
+                    f"server reports {msg.hit_count} hits, sent "
+                    f"{out.pairs_written}")
+            elapsed = msg.elapsed_ms / 1000.0
+            return engine.CrackReport(
+                msg.hashed_count, out.pairs_written, elapsed,
+                msg.hashed_count / max(elapsed, 1e-9))
+        elif isinstance(msg, ErrorReply):
+            raise ServerError(msg.code, msg.text)
+        else:
+            raise ProtocolViolation(
+                "protocol-order", f"unexpected mid-job {msg!r}")
 
 
 def client_session(target_hex: str, algo_id: str, r, keyspace_descriptor: str,

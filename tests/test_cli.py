@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -22,6 +23,7 @@ from threepc.cli import (
 )
 from threepc.planner import Plan
 from threepc.potfile import read_potfile
+from threepc.predicate import cardinality, parse_vector
 
 import fixtures
 
@@ -103,6 +105,45 @@ class TestPlanCommand:
         assert plan.cardinality == 16 ** 26
 
 
+def _outside(plan):
+    """The plan with a target that its own vector excludes."""
+    bounds = parse_vector(plan.vector_hex).bounds
+    i = next(i for i, (lo, hi) in enumerate(bounds) if hi - lo < 15)
+    lo, hi = bounds[i]
+    nibble = "%x" % (hi + 1 if hi < 15 else lo - 1)
+    return replace(plan, target_hex=plan.target_hex[:i] + nibble
+                   + plan.target_hex[i + 1:])
+
+
+class TestPlanValidation:
+    @pytest.mark.parametrize("doctor, reason", [
+        (lambda p: replace(p, vector_hex=p.vector_hex[:-2],
+                           cardinality=cardinality(
+                               parse_vector(p.vector_hex[:-2]))),
+         "vector covers 7 nibbles, crc32 digests have 8"),
+        (_outside, "target is outside its own vector"),
+        (lambda p: replace(p, cardinality=p.cardinality + 1),
+         "cardinality"),
+    ], ids=["vector-length", "target-outside-vector", "cardinality"])
+    def test_inconsistent_plan_is_refused(self, tmp_path, capsys, doctor,
+                                          reason):
+        plan_path, corpus, _ = make_plan(tmp_path, capsys)
+        plan_path.write_text(
+            doctor(Plan.from_text(plan_path.read_text())).to_text())
+        with pytest.raises(ValueError, match=reason):
+            Plan.from_text(plan_path.read_text())
+        out = tmp_path / "out.pot"
+        for argv in (["run", "--plan", str(plan_path), "--out", str(out),
+                      "--offline", "--corpus-file", str(corpus)],
+                     ["verify", "--plan", str(plan_path),
+                      "--potfile", str(out)]):
+            assert client_main(argv) == EXIT_PARSE
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and reason in err
+            assert err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestRunOffline:
     def test_offline_run_writes_potfile_and_report(self, tmp_path, capsys):
         plan_path, corpus, target = make_plan(tmp_path, capsys)
@@ -179,6 +220,32 @@ class TestRunOffline:
         assert client_main([
             "run", "--plan", str(plan_path), "--out", str(tmp_path / "x"),
         ]) == EXIT_PARSE
+
+    @pytest.mark.parametrize("transport", [["--offline"],
+                                           ["--server", "127.0.0.1:1"]])
+    def test_unwritable_out_is_parse_error(self, tmp_path, capsys,
+                                           transport):
+        plan_path, corpus, _ = make_plan(tmp_path, capsys)
+        code = client_main([
+            "run", "--plan", str(plan_path), "--corpus-file", str(corpus),
+            "--out", str(tmp_path / "missing-dir" / "x.pot"), *transport,
+        ])
+        assert code == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write the potfile")
+        assert err.count("\n") == 1
+
+    def test_unreadable_corpus_file_is_parse_error(self, tmp_path, capsys):
+        plan_path, _, _ = make_plan(tmp_path, capsys)
+        for transport in (["--offline"], ["--server", "127.0.0.1:1"]):
+            code = client_main([
+                "run", "--plan", str(plan_path), "--out",
+                str(tmp_path / "x.pot"), *transport,
+                "--corpus-file", str(tmp_path / "no-such-corpus"),
+            ])
+            assert code == EXIT_PARSE
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_connection_refused(self, tmp_path, capsys):
         plan_path, _, _ = make_plan(tmp_path, capsys)

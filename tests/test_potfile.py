@@ -62,3 +62,17 @@ def test_batch_with_newline_in_password_is_refused_whole(tmp_path):
                                 (b"two\nlines", bytes.fromhex("deadbeef"))])
         assert writer.pairs_written == 1
     assert path.read_bytes() == b"c6bfaba2:first\n"
+
+
+def test_hex_batch_is_lowercased_and_refused_whole_when_malformed(tmp_path):
+    path = tmp_path / "out.pot"
+    with PotfileWriter(path) as writer:
+        writer.write_hex_batch([("C6BFABA2", b"pw"), ("00ff00ff", b"a:b")], 8)
+        for bad in (("c6bfabzz", b"pw"), ("c6bfab", b"pw"),
+                    ("c6bfaba2aa", b"pw"), ("c6bfaba١", b"pw"),
+                    ("c6bfaba2", b"two\nlines")):
+            with pytest.raises(ValueError):
+                writer.write_hex_batch([("deadbeef", b"ok"), bad], 8)
+        writer.write_hex_batch([], 8)
+        assert writer.pairs_written == 2
+    assert path.read_bytes() == b"c6bfaba2:pw\n00ff00ff:a:b\n"
