@@ -35,7 +35,6 @@ class CandidateEncodingError(ValueError):
 class HashAlgoDescriptor:
     algo_id: str
     digest_nibbles: int
-    reference_rate: float | None = None  # hashes/second, measured on demand
 
 
 def _crc32_raw(password: bytes) -> bytes:
@@ -127,11 +126,9 @@ def known_algos() -> tuple[str, ...]:
 
 def descriptor(algo_id: str) -> HashAlgoDescriptor:
     try:
-        desc = _REGISTRY[algo_id][0]
+        return _REGISTRY[algo_id][0]
     except KeyError:
         raise UnknownAlgoError(algo_id) from None
-    rate = _MEASURED_RATES.get(algo_id)
-    return HashAlgoDescriptor(desc.algo_id, desc.digest_nibbles, rate)
 
 
 def raw_fn(algo_id: str) -> Callable[[bytes], bytes]:

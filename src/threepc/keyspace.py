@@ -125,16 +125,13 @@ class DirectoryCorpus:
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self._cache: dict[str, tuple[bytes, ...]] = {}
-        self.reports: dict[str, IngestReport] = {}
 
     def __call__(self, name: str) -> tuple[bytes, ...]:
         if name not in self._cache:
             path = self.root / name
             if not path.is_file():
                 raise UnresolvedCorpusError(f"no corpus named {name!r}")
-            words, report = load_wordlist(path)
-            self._cache[name] = words
-            self.reports[name] = report
+            self._cache[name] = load_wordlist(path)[0]
         return self._cache[name]
 
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
@@ -149,18 +150,6 @@ def pack_into_slots(exponents, n_slots: int) -> tuple[int, ...] | None:
         if e:
             return None
     return tuple(slots)
-
-
-def _fast_unpackable(exponents, n_slots: int) -> bool:
-    """Cheap necessary-condition check: 13s, 11s, 7s and 5s each need a
-    slot of their own, and 3s fit at most one per 5-slot or two per empty
-    slot.  False negatives are fine; pack_into_slots is the authority."""
-    _, b, c, d, e, f = exponents
-    needed = c + d + e + f
-    if needed > n_slots:
-        return True
-    spill3 = b - c
-    return spill3 > 0 and needed + (spill3 + 1) // 2 > n_slots
 
 
 def _extend(logs: np.ndarray, packed: np.ndarray, ln_p: float, shift: int,
@@ -409,8 +398,6 @@ def smooth_search(nv_target, digest_length: int,
         if best is not None and err > best[0] + _TIE_EPS:
             break
         exps = groups.exponents(i, j)
-        if _fast_unpackable(exps, digest_length):
-            continue
         slots = pack_into_slots(exps, digest_length)
         if slots is None:
             continue
@@ -510,6 +497,24 @@ def multi_dataset_projection(v: PredicateVector,
 # Plan files
 
 
+# The plan file, declared once: (file key, Plan attribute, parser) in file
+# order.  Floats are written with repr, so they parse back exactly.
+_PLAN_FIELDS: tuple[tuple[str, str, Callable[[str], Any]], ...] = (
+    ("target", "target_hex", str),
+    ("algo", "algo_id", str),
+    ("keyspace", "keyspace_descriptor", str),
+    ("keyspace_size", "keyspace_size", int),
+    ("r", "r", float),
+    ("nv_target", "nv_target", float),
+    ("tolerance", "tolerance", float),
+    ("seed", "seed", int),
+    ("vector", "vector_hex", str),
+    ("cardinality", "cardinality", int),
+    ("expected_candidates", "expected_candidates", float),
+    ("deniability", "deniability", float),
+)
+
+
 @dataclass
 class Plan:
     target_hex: str
@@ -527,21 +532,9 @@ class Plan:
 
     def to_text(self) -> str:
         lines = ["# threepc plan"]
-        for key, value in (
-            ("target", self.target_hex),
-            ("algo", self.algo_id),
-            ("keyspace", self.keyspace_descriptor),
-            ("keyspace_size", self.keyspace_size),
-            ("r", repr(self.r)),
-            ("nv_target", repr(self.nv_target)),
-            ("tolerance", repr(self.tolerance)),
-            ("seed", self.seed),
-            ("vector", self.vector_hex),
-            ("cardinality", self.cardinality),
-            ("expected_candidates", repr(self.expected_candidates)),
-            ("deniability", repr(self.deniability)),
-        ):
-            lines.append(f"{key} = {value}")
+        for key, attr, parse in _PLAN_FIELDS:
+            value = getattr(self, attr)
+            lines.append(f"{key} = {repr(value) if parse is float else value}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -556,20 +549,8 @@ class Plan:
                 raise ValueError(f"plan line {line_no}: expected key = value")
             fields[m.group(1)] = m.group(2)
         try:
-            plan = cls(
-                target_hex=fields["target"],
-                algo_id=fields["algo"],
-                keyspace_descriptor=fields["keyspace"],
-                keyspace_size=int(fields["keyspace_size"]),
-                r=float(fields["r"]),
-                nv_target=float(fields["nv_target"]),
-                tolerance=float(fields["tolerance"]),
-                seed=int(fields["seed"]),
-                vector_hex=fields["vector"],
-                cardinality=int(fields["cardinality"]),
-                expected_candidates=float(fields["expected_candidates"]),
-                deniability=float(fields["deniability"]),
-            )
+            plan = cls(**{attr: parse(fields[key])
+                          for key, attr, parse in _PLAN_FIELDS})
         except KeyError as exc:
             raise ValueError(f"plan is missing field {exc.args[0]!r}") from None
         plan._check_consistent()
@@ -577,8 +558,9 @@ class Plan:
 
     def _check_consistent(self) -> None:
         """Reject a plan whose vector does not fit its algorithm, whose
-        target is outside its own vector, or whose cardinality is not the
-        vector's: running or verifying it would mislead (ValueError)."""
+        target is outside its own vector, or whose cardinality or expected
+        candidate count is not the one its vector and keyspace size give:
+        running or verifying it would mislead (ValueError)."""
         if self.algo_id not in hashers.known_algos():
             raise ValueError(f"plan names unknown algorithm {self.algo_id!r}")
         nibbles = hashers.descriptor(self.algo_id).digest_nibbles
@@ -594,6 +576,11 @@ class Plan:
             raise ValueError(
                 f"plan cardinality {self.cardinality} is not the vector's "
                 f"{cardinality(vector)}")
+        expected = expected_candidates(vector, self.keyspace_size)
+        if self.expected_candidates != expected:
+            raise ValueError(
+                f"plan expected_candidates {self.expected_candidates!r} is not "
+                f"the {expected!r} its vector and keyspace size give")
 
 
 def build_plan(target: Digest, algo_id: str, keyspace_descriptor: str,

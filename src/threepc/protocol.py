@@ -3,7 +3,9 @@
 Frame layout: 4-byte big-endian payload length, 1-byte type tag, payload.
 Payload fields: unsigned integers are 8-byte big-endian; strings and
 byte blobs are length-prefixed (4-byte big-endian) raw bytes.  There is
-no self-describing envelope, so frames are bit-exact testable.
+no self-describing envelope, so frames are bit-exact testable.  Each
+message's tag and field layout is declared once, in _LAYOUT, which both
+encode_message and decode_payload read.
 
 Per connection the exchange is strictly ordered: hash-info request and
 ack, one job submission, zero or more candidate chunks, one completion
@@ -19,8 +21,9 @@ import socketserver
 import struct
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 from . import engine, hashers, keyspace, planner, potfile, verifier
 from .keyspace import DirectoryCorpus, UnresolvedCorpusError
@@ -31,13 +34,6 @@ DEFAULT_PORT = 3727
 DEFAULT_MAX_FRAME = 64 * 1024 * 1024
 INLINE_CORPUS_CAP = 256 * 1024 * 1024
 CHUNK_PAIRS = 4096
-
-TAG_HASH_INFO_REQUEST = 0x01
-TAG_HASH_INFO_ACK = 0x02
-TAG_JOB_SUBMIT = 0x03
-TAG_CANDIDATE_CHUNK = 0x04
-TAG_JOB_DONE = 0x05
-TAG_ERROR_REPLY = 0x06
 
 _HEADER = struct.Struct(">IB")
 _U64 = struct.Struct(">Q")
@@ -120,6 +116,14 @@ def _pack_str(text: str) -> bytes:
     return _pack_bytes(text.encode("utf-8"))
 
 
+def _pack_pairs(pairs: tuple[tuple[str, bytes], ...]) -> bytes:
+    parts = [_U64.pack(len(pairs))]
+    for digest_hex, password in pairs:
+        parts.append(_pack_str(digest_hex))
+        parts.append(_pack_bytes(password))
+    return b"".join(parts)
+
+
 class _PayloadReader:
     def __init__(self, payload: bytes):
         self._data = payload
@@ -150,62 +154,60 @@ class _PayloadReader:
             raise ProtocolViolation("bad-message",
                                     "string field is not UTF-8") from None
 
+    def pairs(self) -> tuple[tuple[str, bytes], ...]:
+        count = self.u64()
+        text, blob = self.text, self.blob
+        return tuple((text(), blob()) for _ in range(count))
+
     def done(self) -> None:
         if self._at != len(self._data):
             raise ProtocolViolation("bad-message",
                                     "trailing bytes in payload")
 
 
+class _Kind(NamedTuple):
+    """How one payload field is written and read."""
+
+    pack: Callable[[Any], bytes]
+    read: Callable[[_PayloadReader], Any]
+
+
+_STRING = _Kind(_pack_str, _PayloadReader.text)
+_BLOB = _Kind(_pack_bytes, _PayloadReader.blob)
+_UINT64 = _Kind(_U64.pack, _PayloadReader.u64)
+_PAIR_LIST = _Kind(_pack_pairs, _PayloadReader.pairs)  # u64 count, then pairs
+
+# The wire format, declared once: each message's type tag and the kinds of
+# its fields in dataclass order, which is also their order on the wire.
+_LAYOUT: dict[type, tuple[int, tuple[_Kind, ...]]] = {
+    HashInfoRequest: (0x01, (_STRING,)),
+    HashInfoAck: (0x02, (_STRING, _UINT64, _UINT64)),
+    JobSubmit: (0x03, (_STRING, _STRING, _STRING, _BLOB)),
+    CandidateChunk: (0x04, (_PAIR_LIST,)),
+    JobDone: (0x05, (_UINT64, _UINT64, _UINT64)),
+    ErrorReply: (0x06, (_STRING, _STRING)),
+}
+_BY_TAG = {tag: (cls, kinds) for cls, (tag, kinds) in _LAYOUT.items()}
+
+
 def encode_message(msg: Message) -> bytes:
-    if isinstance(msg, HashInfoRequest):
-        tag, payload = TAG_HASH_INFO_REQUEST, _pack_str(msg.algo_id)
-    elif isinstance(msg, HashInfoAck):
-        tag = TAG_HASH_INFO_ACK
-        payload = (_pack_str(msg.algo_id) + _U64.pack(msg.digest_nibbles)
-                   + _U64.pack(msg.rate_hps))
-    elif isinstance(msg, JobSubmit):
-        tag = TAG_JOB_SUBMIT
-        payload = (_pack_str(msg.algo_id) + _pack_str(msg.vector_hex)
-                   + _pack_str(msg.keyspace_descriptor)
-                   + _pack_bytes(msg.corpus))
-    elif isinstance(msg, CandidateChunk):
-        tag = TAG_CANDIDATE_CHUNK
-        parts = [_U64.pack(len(msg.pairs))]
-        for digest_hex, password in msg.pairs:
-            parts.append(_pack_str(digest_hex))
-            parts.append(_pack_bytes(password))
-        payload = b"".join(parts)
-    elif isinstance(msg, JobDone):
-        tag = TAG_JOB_DONE
-        payload = (_U64.pack(msg.hashed_count) + _U64.pack(msg.hit_count)
-                   + _U64.pack(msg.elapsed_ms))
-    elif isinstance(msg, ErrorReply):
-        tag = TAG_ERROR_REPLY
-        payload = _pack_str(msg.code) + _pack_str(msg.text)
-    else:
-        raise TypeError(f"not a protocol message: {msg!r}")
+    try:
+        tag, kinds = _LAYOUT[type(msg)]
+    except KeyError:
+        raise TypeError(f"not a protocol message: {msg!r}") from None
+    payload = b"".join(kind.pack(getattr(msg, field.name))
+                       for kind, field in zip(kinds, fields(msg), strict=True))
     return _HEADER.pack(len(payload), tag) + payload
 
 
 def decode_payload(tag: int, payload: bytes) -> Message:
+    try:
+        cls, kinds = _BY_TAG[tag]
+    except KeyError:
+        raise ProtocolViolation("bad-message",
+                                f"unknown type tag {tag}") from None
     reader = _PayloadReader(payload)
-    if tag == TAG_HASH_INFO_REQUEST:
-        msg: Message = HashInfoRequest(reader.text())
-    elif tag == TAG_HASH_INFO_ACK:
-        msg = HashInfoAck(reader.text(), reader.u64(), reader.u64())
-    elif tag == TAG_JOB_SUBMIT:
-        msg = JobSubmit(reader.text(), reader.text(), reader.text(),
-                        reader.blob())
-    elif tag == TAG_CANDIDATE_CHUNK:
-        count = reader.u64()
-        pairs = tuple((reader.text(), reader.blob()) for _ in range(count))
-        msg = CandidateChunk(pairs)
-    elif tag == TAG_JOB_DONE:
-        msg = JobDone(reader.u64(), reader.u64(), reader.u64())
-    elif tag == TAG_ERROR_REPLY:
-        msg = ErrorReply(reader.text(), reader.text())
-    else:
-        raise ProtocolViolation("bad-message", f"unknown type tag {tag}")
+    msg = cls(*[kind.read(reader) for kind in kinds])
     reader.done()
     return msg
 

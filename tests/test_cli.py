@@ -124,7 +124,10 @@ class TestPlanValidation:
         (_outside, "target is outside its own vector"),
         (lambda p: replace(p, cardinality=p.cardinality + 1),
          "cardinality"),
-    ], ids=["vector-length", "target-outside-vector", "cardinality"])
+        (lambda p: replace(p, expected_candidates=p.expected_candidates * 2),
+         "its vector and keyspace size give"),
+    ], ids=["vector-length", "target-outside-vector", "cardinality",
+            "expected-candidates"])
     def test_inconsistent_plan_is_refused(self, tmp_path, capsys, doctor,
                                           reason):
         plan_path, corpus, _ = make_plan(tmp_path, capsys)
@@ -357,6 +360,7 @@ class TestServerProcess:
         finally:
             proc.terminate()
             proc.wait(timeout=10)
+            proc.stdout.close()
 
     def test_sigterm_mid_job_leaves_partial_potfile(self, tmp_path, capsys):
         corpus_dir = tmp_path / "corpus"
@@ -387,3 +391,4 @@ class TestServerProcess:
         finally:
             proc.terminate()
             proc.wait(timeout=10)
+            proc.stdout.close()

@@ -458,6 +458,28 @@ class TestPlanStore:
         assert eval_predicate(v, target)
         assert cardinality(v) == plan.cardinality
 
+    def test_plan_text_is_pinned(self):
+        target = Digest.from_hex(fixtures.TOY1_TARGET_HEX, "crc32")
+        plan = build_plan(target, "crc32", "hybrid:words:?w?d", 10 ** 6, 20,
+                          seed=5)
+        text = (
+            "# threepc plan\n"
+            "target = c6bfaba2\n"
+            "algo = crc32\n"
+            "keyspace = hybrid:words:?w?d\n"
+            "keyspace_size = 1000000\n"
+            "r = 20.0\n"
+            "nv_target = 85899.34592\n"
+            "tolerance = 0.05\n"
+            "seed = 5\n"
+            "vector = cc0e5b3faa6caa2a\n"
+            "cardinality = 85995\n"
+            "expected_candidates = 20.02227120101452\n"
+            "deniability = 2.002227120101452e-05\n"
+        )
+        assert plan.to_text() == text
+        assert Plan.from_text(text) == plan
+
     def test_same_seed_same_plan(self):
         target = Digest.from_hex(fixtures.TOY1_TARGET_HEX, "crc32")
         a = build_plan(target, "crc32", "mask:?d?d?d", 1000, 5, seed=99)

@@ -79,6 +79,39 @@ class TestFraming:
         with pytest.raises(ProtocolViolation):
             decode_payload(frame[4], frame[5:] + b"\x00")
 
+    @pytest.mark.parametrize("msg, frame_hex", [
+        (HashInfoRequest("crc32"),
+         "00000009" "01" "00000005" "6372633332"),
+        (HashInfoAck("sha256", 64, 1234567),
+         "0000001a" "02" "00000006" "736861323536"
+         "0000000000000040" "000000000012d687"),
+        (JobSubmit("crc32", "0f3a", "hybrid:words:?w?d", b"alpha\nbravo\n"),
+         "00000036" "03" "00000005" "6372633332" "00000004" "30663361"
+         "00000011" "6879627269643a776f7264733a3f773f64"
+         "0000000c" "616c7068610a627261766f0a"),
+        (JobSubmit("ntlm", "0f", "mask:?d"),
+         "0000001d" "03" "00000004" "6e746c6d" "00000002" "3066"
+         "00000007" "6d61736b3a3f64" "00000000"),
+        (CandidateChunk(()),
+         "00000008" "04" "0000000000000000"),
+        (CandidateChunk((("c6bfaba2", b"pw"), ("00ff00ff", b"a:b\xff"))),
+         "0000002e" "04" "0000000000000002"
+         "00000008" "6336626661626132" "00000002" "7077"
+         "00000008" "3030666630306666" "00000004" "613a62ff"),
+        (JobDone(2000, 7, 2 ** 64 - 1),
+         "00000018" "05" "00000000000007d0" "0000000000000007"
+         "ffffffffffffffff"),
+        (ErrorReply("unknown-corpus", "no corpus named 'café'"),
+         "0000002d" "06" "0000000e" "756e6b6e6f776e2d636f72707573"
+         "00000017" "6e6f20636f72707573206e616d65642027636166c3a927"),
+    ], ids=["hash-info-request", "hash-info-ack", "job-submit-corpus",
+            "job-submit", "chunk-empty", "chunk-two-pairs", "job-done",
+            "error-reply-utf8"])
+    def test_golden_frames(self, msg, frame_hex):
+        frame = bytes.fromhex(frame_hex)
+        assert encode_message(msg) == frame
+        assert decode_payload(frame[4], frame[5:]) == msg
+
     def test_parse_endpoint(self):
         assert parse_endpoint("127.0.0.1:3727") == ("127.0.0.1", 3727)
         with pytest.raises(ValueError):
