@@ -34,6 +34,9 @@ from .predicate import (Digest, PredicateVector, cardinality, eval_predicate,
 
 _LN2, _LN3, _LN5, _LN7, _LN11, _LN13 = (math.log(p) for p in (2, 3, 5, 7, 11, 13))
 _TIE_EPS = 1e-9  # float log-error slack before exact rational comparison
+# first errors sorted up front per search; the walk falls back to the full
+# sort in the rare search that gets past them
+_FIRST_PREFIX = 64
 DEFAULT_TOLERANCE = 0.05
 
 
@@ -191,6 +194,15 @@ class _SmoothGroups:
     time, so no per-entry Python object exists.  At l = 64 the right
     table has 2.36 M entries (19 MB of logs, 9 MB packed); a cold build
     takes about 0.35 s on a 2-core host.
+
+    smooth_search reads the left table through arrays that depend only on
+    l and are built here once: search_logs and search_packed, the left
+    entries sorted by log (descending, stable), so that a search's
+    queries ln(nv) - log arrive ascending and numpy's binary search
+    narrows from the previous one; and search_limit, per entry the
+    right-table bound of the pairs below the zone floor (the zone catalog
+    serves those above it), with a memoryview for scalar reads.  They add
+    about 0.5 MB at l = 64.  left_logs and left_packed stay in build order.
     """
 
     def __init__(self, digest_length: int):
@@ -212,9 +224,19 @@ class _SmoothGroups:
         del logs
         self.right_packed = packed[order]
 
+        self.zone_floor = cap - _ZONE_DEPTH
+        by_log = np.argsort(-self.left_logs, kind="stable")
+        self.search_logs = self.left_logs[by_log]
+        self.search_packed = self.left_packed[by_log]
+        self.search_limit = np.searchsorted(
+            self.right_logs, self.zone_floor - self.search_logs + 1e-6,
+            side="right")
+        self.search_limit_view = memoryview(self.search_limit)
+
     def exponents(self, left_idx: int, right_idx: int
                   ) -> tuple[int, int, int, int, int, int]:
-        ab = int(self.left_packed[left_idx])
+        """Exponents of the pair (search_* entry, right entry)."""
+        ab = int(self.search_packed[left_idx])
         cdef = int(self.right_packed[right_idx])
         return (ab & 0xFFFF, ab >> 16, cdef & 0xFF, (cdef >> 8) & 0xFF,
                 (cdef >> 16) & 0xFF, cdef >> 24)
@@ -291,6 +313,15 @@ def _zone_for(digest_length: int) -> _ZoneCatalog:
     return _ZONE_CACHE[digest_length]
 
 
+def _stable_head(values: np.ndarray, k: int) -> np.ndarray:
+    """The first entries of np.argsort(values, kind="stable"): every index
+    whose value is at most the k-th smallest (ties included), found by a
+    partition and sorted stably in index order."""
+    kth = min(k, len(values)) - 1
+    head = np.flatnonzero(values <= np.partition(values, kth)[kth])
+    return head[np.argsort(values[head], kind="stable")]
+
+
 def smooth_search(nv_target, digest_length: int,
                   tolerance: float = DEFAULT_TOLERANCE) -> SmoothSearchResult:
     """Best packable 13-smooth approximation of nv_target.
@@ -305,14 +336,17 @@ def smooth_search(nv_target, digest_length: int,
         raise ValueError("tolerance must be positive")
     groups = _groups_for(digest_length)
     ln_target = _ln_fraction(target)
-    zone_floor = groups.cap - _ZONE_DEPTH
+    zone_floor = groups.zone_floor
 
-    resid = ln_target - groups.left_logs
+    # ascending, since search_logs descends.  The left order decides only
+    # the order in which the walk visits pairs of equal error, not its
+    # result: it visits every packable pair within _TIE_EPS of the best
+    # and takes the exact minimum over them.
+    resid = ln_target - groups.search_logs
     right_logs = groups.right_logs
     # pairs above the zone floor are the catalog's job; excluding them
     # here keeps near-ceiling targets from flooding the walk
-    limit = np.searchsorted(right_logs, zone_floor - groups.left_logs + 1e-6,
-                            side="right")
+    limit = groups.search_limit
     pos = np.minimum(np.searchsorted(right_logs, resid), limit)
 
     # Per left entry, walk right neighbors outward from the insertion
@@ -327,20 +361,21 @@ def smooth_search(nv_target, digest_length: int,
                       right_logs[np.clip(hi0, 0, n_right - 1)] - resid, np.inf)
     take_lo = err_lo <= err_hi
     err0 = np.where(take_lo, err_lo, err_hi)
-    order = np.argsort(err0, kind="stable")
+    # the walk pops about two first errors per search: sort only a head
+    order = _stable_head(err0, _FIRST_PREFIX)
     err0_sorted = err0[order]
 
     # the ring walk reads single elements, where numpy scalar indexing
-    # would dominate the cost; a memoryview reads them as plain floats
-    # without a list of every entry
+    # would dominate the cost; memoryviews read them as plain Python
+    # numbers without a list of every entry
     rlogs = memoryview(right_logs)
-    resid_list = resid.tolist()
-    limit_list = limit.tolist()
+    rresid = memoryview(resid)
+    rlimit = groups.search_limit_view
 
     def advance(i: int, lo: int, hi: int):
         # next neighbor for left entry i given ring pointers; None when spent
-        r = resid_list[i]
-        lim = limit_list[i]
+        r = rresid[i]
+        lim = rlimit[i]
         if lo < 0 and hi >= lim:
             return None
         if hi >= lim or (lo >= 0 and r - rlogs[lo] <= rlogs[hi] - r):
@@ -352,7 +387,12 @@ def smooth_search(nv_target, digest_length: int,
     n_left = len(resid)
 
     def pop_next():
-        nonlocal first_at
+        nonlocal first_at, order, err0_sorted
+        if first_at == len(order) < n_left:
+            # the walk used up the sorted head: take the full stable sort,
+            # whose head it is
+            order = np.argsort(err0, kind="stable")
+            err0_sorted = err0[order]
         take_first = first_at < n_left and (
             not overflow or err0_sorted[first_at] <= overflow[0][0])
         if take_first:

@@ -420,7 +420,8 @@ def run_job(plan: Plan, endpoint: tuple[str, int], potfile_path: str | Path,
     The potfile is opened before the server is contacted, and an OSError
     out of this function comes from the potfile alone: socket failures
     raise ConnectionLostError.  Malformed candidates and a JobDone whose
-    hit count disagrees with the pairs received raise ProtocolViolation.
+    hit count disagrees with the pairs received, or whose hashed count is
+    not the plan's keyspace size, raise ProtocolViolation.
     On connection loss the partial potfile is kept and the raised error
     carries a partial report.
     """
@@ -471,6 +472,12 @@ def _exchange(sock: socket.socket, plan: Plan, out: potfile.PotfileWriter,
                     "bad-count",
                     f"server reports {msg.hit_count} hits, sent "
                     f"{out.pairs_written}")
+            # a genv plan stores keyspace_size 0: it has no |DS| to check
+            if plan.keyspace_size and msg.hashed_count != plan.keyspace_size:
+                raise ProtocolViolation(
+                    "bad-count",
+                    f"server reports {msg.hashed_count} candidates hashed, "
+                    f"the plan's keyspace has {plan.keyspace_size}")
             elapsed = msg.elapsed_ms / 1000.0
             return engine.CrackReport(
                 msg.hashed_count, out.pairs_written, elapsed,

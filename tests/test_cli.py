@@ -362,6 +362,26 @@ class TestServerProcess:
             proc.wait(timeout=10)
             proc.stdout.close()
 
+    def test_uploaded_corpus_count_matches_the_plan(self, tmp_path, capsys,
+                                                   local_server):
+        # the client plans and the server cracks from one ingest of the
+        # same file: duplicates, blank lines, CRLF endings and overlong
+        # lines drop out on both sides, so the server's hashed count is
+        # the plan's |DS| and the run is not refused
+        words = ([b"w%04d" % i for i in range(300)] * 2
+                 + [b"", b"x\r", b"x", b"y" * 300, b"z\r"])
+        plan_path, corpus, _ = make_plan(tmp_path, capsys, words=words)
+        plan = Plan.from_text(plan_path.read_text())
+        assert plan.keyspace_size == 302
+        host, port = local_server.address
+        out = tmp_path / "net.pot"
+        assert client_main([
+            "run", "--plan", str(plan_path), "--out", str(out),
+            "--server", f"{host}:{port}", "--corpus-file", str(corpus),
+        ]) == EXIT_OK
+        report = (tmp_path / "net.pot.report").read_text()
+        assert "hashed_count = 302\n" in report
+
     def test_sigterm_mid_job_leaves_partial_potfile(self, tmp_path, capsys):
         corpus_dir = tmp_path / "corpus"
         corpus_dir.mkdir()

@@ -122,6 +122,212 @@ def reference_smooth_groups(digest_length):
             np.asarray(right_packed)[order])
 
 
+# smooth_search outputs pinned for 60 seeded targets at l = 8, 32 and 64:
+# log-uniform over the range, nv = r * 16^64 / |DS| as plan-sha256 draws
+# it (l = 64 only), near the 16^l ceiling (the zone catalog), and a
+# tolerance too tight for any value (WidenToleranceError; the row pins its
+# nearest).  Row: (l, target float.hex, tolerance, exponents,
+# log_error float.hex, widened, slot widths as hex nibbles of f - 1).
+GOLDEN_SEARCHES = [
+    (8, "0x1.db15bb7880631p+16", 0.05, (4, 2, 1, 0, 0, 2),
+     "0x1.f63dce7220000p-12", False,
+     "cceb3000"),
+    (8, "0x1.6e93b552f7195p+15", 0.05, (0, 1, 6, 0, 0, 0),
+     "-0x1.05e5827c40000p-10", False,
+     "e4444400"),
+    (8, "0x1.54515c03c9f66p+11", 0.05, (1, 1, 1, 1, 0, 1),
+     "0x1.6689c73718000p-9", False,
+     "cde00000"),
+    (8, "0x1.12e5ee6888404p+10", 0.05, (2, 0, 2, 0, 1, 0),
+     "0x1.845a85ce60000p-12", False,
+     "a9900000"),
+    (8, "0x1.a9860fae5a9c7p+4", 0.05, (0, 3, 0, 0, 0, 0),
+     "0x1.eef5e675e1000p-7", False,
+     "82000000"),
+    (8, "0x1.568f4af113b59p+11", 0.05, (3, 0, 0, 3, 0, 0),
+     "0x1.50b1e7eb68000p-10", False,
+     "ddd00000"),
+    (8, "0x1.7e6b2354ef556p+28", 0.05, (3, 3, 1, 0, 0, 5),
+     "0x1.06dd2ff000000p-18", False,
+     "ccccce87"),
+    (8, "0x1.39327fd1d6968p+5", 0.05, (0, 1, 0, 0, 0, 1),
+     "-0x1.f602b7a900000p-9", False,
+     "c2000000"),
+    (8, "0x1.3c625c1d2db46p+29", 0.05, (6, 1, 0, 0, 2, 4),
+     "0x1.27492a1500000p-15", False,
+     "ccccaabf"),
+    (8, "0x1.4397b9cd32d20p+4", 0.05, (2, 0, 1, 0, 0, 0),
+     "-0x1.6dd728f3b1000p-7", False,
+     "91000000"),
+    (8, "0x1.9889fbfdba75cp+26", 0.05, (1, 1, 4, 0, 0, 4),
+     "0x1.2da19ac180000p-14", False,
+     "cccce944"),
+    (8, "0x1.8bc1de41c473bp+15", 0.05, (9, 2, 0, 0, 1, 0),
+     "0x1.416d3913b0000p-11", False,
+     "a8ff1000"),
+    (8, "0x1.60a392c2c2824p+31", 0.05, (28, 0, 0, 0, 1, 0),
+     "-0x1.db6b0e7f80000p-10", False,
+     "afffffff"),
+    (8, "0x1.c218593f8616ep+31", 0.05, (24, 2, 2, 0, 0, 0),
+     "-0x1.bb34d45200000p-13", False,
+     "eeffffff"),
+    (8, "0x1.6c5182314ec72p+31", 0.05, (25, 0, 0, 1, 0, 1),
+     "-0x1.ca65ae1750000p-11", False,
+     "cdffffff"),
+    (8, "0x1.3f530dc8074b8p+18", 1e-07, (4, 0, 0, 0, 2, 2),
+     "0x1.39d30264f8000p-11", True,
+     "ccaaf000"),
+    (8, "0x1.2c64893f5e24fp+24", 1e-07, (2, 2, 7, 1, 0, 0),
+     "0x1.9a3a324100000p-15", True,
+     "dee94444"),
+    (8, "0x1.0fa73391fdf39p+21", 1e-07, (6, 5, 0, 0, 1, 1),
+     "-0x1.54e2bb78a0000p-11", True,
+     "ca88bf00"),
+    (32, "0x1.8e14ae2adaec5p+53", 0.05, (5, 3, 4, 0, 10, 0),
+     "-0x1.f5cd1e8000000p-21", False,
+     "aaaaaaaaaaeee9f00000000000000000"),
+    (32, "0x1.0c05b1a22ee83p+89", 0.05, (35, 2, 14, 4, 1, 1),
+     "0x1.45f4260000000p-22", False,
+     "caddddee999999999999ffff70000000"),
+    (32, "0x1.0bdbe847c8971p+69", 0.05, (8, 16, 7, 2, 4, 0),
+     "0x1.13abda6000000p-19", False,
+     "aaaaddeeeeeee8888bf0000000000000"),
+    (32, "0x1.c5bd551d523adp+51", 0.05, (1, 10, 9, 0, 3, 1),
+     "-0x1.808be81800000p-18", False,
+     "caaaeeeeeeeee5000000000000000000"),
+    (32, "0x1.d5722c34281b5p+74", 0.05, (19, 7, 7, 4, 5, 0),
+     "-0x1.3da8c6b000000p-19", False,
+     "aaaaaddddeeeeeeefff7000000000000"),
+    (32, "0x1.1f64d9c154fd8p+49", 0.05, (13, 2, 3, 4, 0, 4),
+     "0x1.6fe2498000000p-20", False,
+     "ccccddddee9ff0000000000000000000"),
+    (32, "0x1.adf3118428ec1p+74", 0.05, (0, 2, 2, 0, 14, 5),
+     "-0x1.55499f8000000p-21", False,
+     "cccccaaaaaaaaaaaaaaee00000000000"),
+    (32, "0x1.2b498777c9df6p+82", 0.05, (16, 5, 13, 5, 3, 1),
+     "0x1.e4a9800000000p-26", False,
+     "caaadddddeeeee999999997000000000"),
+    (32, "0x1.2ef0716b32b54p+99", 0.05, (9, 6, 8, 13, 1, 6),
+     "-0x1.5a9704c000000p-21", False,
+     "ccccccaddddddddd6666eeeeee440000"),
+    (32, "0x1.4118b1f73fceap+62", 0.05, (16, 11, 1, 7, 2, 0),
+     "0x1.dc4d390000000p-23", False,
+     "aaddddddde88888ff100000000000000"),
+    (32, "0x1.65b39475715afp+25", 0.05, (3, 1, 9, 0, 0, 0),
+     "-0x1.afa40e0240000p-13", False,
+     "e9994444400000000000000000000000"),
+    (32, "0x1.e4f06a2fe1cd5p+81", 0.05, (18, 2, 5, 11, 1, 4),
+     "0x1.9ea77b0000000p-23", False,
+     "ccccadddddddddddee999f0000000000"),
+    (32, "0x1.74720ec92ab9dp+127", 0.05, (108, 5, 5, 0, 0, 0),
+     "-0x1.243646129a000p-8", False,
+     "eeeeefffffffffffffffffffffffffff"),
+    (32, "0x1.c9fb9d822045ap+127", 0.05, (120, 2, 2, 0, 0, 0),
+     "-0x1.20197ecfee000p-6", False,
+     "eeffffffffffffffffffffffffffffff"),
+    (32, "0x1.c554a927ca52fp+127", 0.05, (120, 2, 2, 0, 0, 0),
+     "-0x1.e3486c9076000p-8", False,
+     "eeffffffffffffffffffffffffffffff"),
+    (32, "0x1.b50d40421c368p+64", 1e-07, (18, 9, 14, 0, 0, 0),
+     "-0x1.a3759ae000000p-19", True,
+     "eeeeeeeee99999fff100000000000000"),
+    (32, "0x1.04848112eb481p+109", 1e-07, (54, 7, 11, 4, 1, 1),
+     "0x1.aab2588000000p-22", True,
+     "caddddeeeeeee9999fffffffffff3000"),
+    (32, "0x1.69e9eb8b187b5p+56", 1e-07, (34, 4, 1, 0, 4, 0),
+     "0x1.c9df57a000000p-20", True,
+     "aaaae8bffffffff00000000000000000"),
+    (64, "0x1.544bdb68893f6p+220", 0.05, (40, 52, 15, 8, 0, 11),
+     "0x1.0d01400000000p-27", False,
+     "cccccccccccddddddddeeeeeeeeeeeeeee888888888888888888bfffffff3000"),
+    (64, "0x1.6f5d049eddca7p+20", 0.05, (11, 1, 1, 2, 0, 0),
+     "0x1.85f77183e0000p-12", False,
+     "ddeff10000000000000000000000000000000000000000000000000000000000"),
+    (64, "0x1.509d72b0b2f2fp+14", 0.05, (3, 0, 1, 2, 1, 0),
+     "0x1.94c0b6e8a0000p-11", False,
+     "add9000000000000000000000000000000000000000000000000000000000000"),
+    (64, "0x1.b91eea2c250fep+237", 0.05, (36, 20, 12, 30, 5, 11),
+     "-0x1.faa4800000000p-26", False,
+     "cccccccccccaaaaaddddddddddddddddddddddddddddddeeeeeeeeeeee8888f3"),
+    (64, "0x1.55aed250f78b4p+235", 0.05, (131, 3, 16, 0, 17, 1),
+     "0x1.79f0d00000000p-26", False,
+     "caaaaaaaaaaaaaaaaaeee9999999999999fffffffffffffffffffffffffffff3"),
+    (64, "0x1.1376443ab5a1dp+148", 0.05, (52, 12, 26, 2, 0, 3),
+     "0x1.f3bd580000000p-25", False,
+     "cccddeeeeeeeeeeee99999999999999fffffffff000000000000000000000000"),
+    (64, "0x1.2dac6e6fb31f5p+48", 0.05, (9, 6, 10, 1, 0, 1),
+     "0x1.1dd993f800000p-18", False,
+     "cdeeeeee9999f000000000000000000000000000000000000000000000000000"),
+    (64, "0x1.c94b8de2848c2p+236", 0.05, (19, 36, 18, 19, 4, 14),
+     "0x1.27d5e00000000p-26", False,
+     "ccccccccccccccaaaadddddddddddddddddddeeeeeeeeeeeeeeeeee888888888"),
+    (64, "0x1.1fe763d1ae0a0p+181", 0.05, (8, 9, 5, 1, 30, 11),
+     "0x1.16f3000000000p-28", False,
+     "cccccccccccaaaaaaaaaaaaaaaaaaaaaaaaaaaaaadeeeee88f70000000000000"),
+    (64, "0x1.10a93abcba9fcp+183", 0.05, (2, 15, 14, 6, 28, 3),
+     "0x1.eeb0e00000000p-27", False,
+     "cccaaaaaaaaaaaaaaaaaaaaaaaaaaaadd6666eeeeeeeeeeeeee2000000000000"),
+    (64, "0x1.05d0ccb26f2a6p+175", 0.05, (18, 25, 9, 13, 12, 5),
+     "-0x1.4ec5000000000p-28", False,
+     "cccccaaaaaaaaaaaadddddddddddddeeeeeeeee88888888f1000000000000000"),
+    (64, "0x1.2aac9512293b3p+209", 0.05, (60, 30, 8, 10, 2, 13),
+     "0x1.5f8ac00000000p-28", False,
+     "cccccccccccccaaddddddddddeeeeeeee88888888888ffffffffffff30000000"),
+    (64, "0x1.2ae592b024a83p+220", 0.05, (0, 11, 4, 6, 4, 44),
+     "-0x1.409a000000000p-30", False,
+     "ccccccccccccccccccccccccccccccccccccccccccccaaaa666666eeee888200"),
+    (64, "0x1.ed009b0b491ecp+240", 0.05, (151, 6, 12, 5, 9, 2),
+     "-0x1.a653000000000p-30", False,
+     "ccaaaaaaaaadddddeeeeee999999fffffffffffffffffffffffffffffffffff0"),
+    (64, "0x1.7abdb71d0967ap+239", 0.05, (97, 32, 17, 0, 13, 2),
+     "0x1.78fcb00000000p-26", False,
+     "ccaaaaaaaaaaaaaeeeeeeeeeeeeeeeee8888888bfffffffffffffffffffffff7"),
+    (64, "0x1.eadd317679c2fp+234", 0.05, (34, 24, 28, 12, 10, 8),
+     "0x1.1347800000000p-27", False,
+     "ccccccccaaaaaaaaaaddddddddddddeeeeeeeeeeeeeeeeeeeeeeee9999ffff30"),
+    (64, "0x1.e7567e2b6a5b1p+231", 0.05, (21, 20, 20, 3, 6, 28),
+     "-0x1.1023800000000p-28", False,
+     "ccccccccccccccccccccccccccccaaaaaadddeeeeeeeeeeeeeeeeeeeeffff300"),
+    (64, "0x1.30fd62e226a4ep+241", 0.05, (79, 36, 20, 16, 4, 0),
+     "0x1.4b69200000000p-27", False,
+     "aaaaddddddddddddddddeeeeeeeeeeeeeeeeeeee88888888fffffffffffffff7"),
+    (64, "0x1.8cc648c5b3126p+255", 0.05, (240, 4, 4, 0, 0, 0),
+     "-0x1.a320a7ba30000p-9", False,
+     "eeeeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff"),
+    (64, "0x1.ab0f331161dc5p+255", 0.05, (244, 3, 3, 0, 0, 0),
+     "-0x1.903a5d1722000p-7", False,
+     "eeefffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff"),
+    (64, "0x1.8fa554a9d975ap+255", 0.05, (240, 4, 4, 0, 0, 0),
+     "-0x1.550e1386d3000p-7", False,
+     "eeeeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff"),
+    (64, "0x1.a7835717e44e1p+241", 1e-07, (185, 4, 5, 0, 8, 3),
+     "-0x1.3650980000000p-26", False,
+     "cccaaaaaaaaeeee9ffffffffffffffffffffffffffffffffffffffffffffff00"),
+    (64, "0x1.c5d3cfa9ad097p+4", 1e-07, (2, 0, 0, 1, 0, 0),
+     "-0x1.a77bc3bd73000p-7", True,
+     "d100000000000000000000000000000000000000000000000000000000000000"),
+    (64, "0x1.21f8cca55d629p+158", 1e-07, (7, 58, 4, 9, 5, 2),
+     "0x1.18f41c0000000p-24", False,
+     "ccaaaaaddddddd66eeee88888888888888888888888888800000000000000000"),
+]
+
+
+def assert_golden_searches():
+    """smooth_search reproduces every GOLDEN_SEARCHES row; a search that
+    widens is compared through the nearest result it carries."""
+    for length, target_hex, tol, exps, err_hex, widened, slots in (
+            GOLDEN_SEARCHES):
+        try:
+            found = smooth_search(float.fromhex(target_hex), length, tol)
+            got_widened = False
+        except WidenToleranceError as err:
+            found, got_widened = err.nearest, True
+        got_slots = "".join("%x" % (f - 1) for f in found.packing.slot_sizes)
+        assert (found.factorization.exponents, found.log_error.hex(),
+                got_widened, got_slots) == (exps, err_hex, widened, slots), (
+            length, target_hex)
+
+
 class TestPlanNv:
     def test_toy1(self):
         params = plan_nv(fixtures.TOY1_KEYSPACE_SIZE, fixtures.TOY1_R, 8)
@@ -230,6 +436,36 @@ class TestSmoothSearch:
             assert packing.value == fact.value
             assert len(packing.slot_sizes) == 16
             assert all(1 <= f <= 16 for f in packing.slot_sizes)
+
+    def test_results_are_pinned(self):
+        assert_golden_searches()
+
+    def test_full_sort_fallback_keeps_results(self, monkeypatch):
+        # a one-entry sorted head sends nearly every search past it, to
+        # the full sort
+        monkeypatch.setattr(planner, "_FIRST_PREFIX", 1)
+        assert_golden_searches()
+        rng = random.Random(0x5EED)
+        for _ in range(40):
+            target = rng.uniform(10, 1e6)
+            found = smooth_search(target, 8, tolerance=0.05)
+            expected = oracle_smooth_search(target, 8, 0.05)
+            assert found.factorization.value == expected
+
+    def test_stable_head_is_a_prefix_of_the_stable_sort(self):
+        rng = np.random.default_rng(7)
+        cases = [np.full(3, np.inf)]
+        for n in (1, 5, 64, 65, 1000):
+            # few distinct values, so ties straddle the k-th smallest
+            values = rng.integers(0, 6, n).astype(np.float64)
+            values[rng.random(n) < 0.1] = np.inf
+            cases.append(values)
+        for values in cases:
+            full = np.argsort(values, kind="stable")
+            for k in (1, 2, 17, 64, len(values) + 1):
+                head = planner._stable_head(values, k)
+                assert len(head) >= min(k, len(values))
+                assert np.array_equal(head, full[:len(head)]), (values, k)
 
     def test_deterministic(self):
         a = smooth_search(123456.789, 16)

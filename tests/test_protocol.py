@@ -222,9 +222,11 @@ class TestServer:
 
 
 @contextmanager
-def scripted_server(pairs, hit_count, connections=1):
+def scripted_server(pairs, hit_count, connections=1, hashed_count=100):
     """A fake server on a loopback socket: each of its connections gets a
-    valid hash-info ack, one CandidateChunk of pairs, then JobDone(hit_count)."""
+    valid hash-info ack, one CandidateChunk of pairs, then
+    JobDone(hashed_count, hit_count).  _make_plan's keyspace has 100
+    candidates."""
     listener = socket.create_server(("127.0.0.1", 0))
 
     def serve():
@@ -236,7 +238,7 @@ def scripted_server(pairs, hit_count, connections=1):
                     send_message(conn, HashInfoAck(request.algo_id, 8, 1000))
                     recv_message(conn)
                     send_message(conn, CandidateChunk(pairs))
-                    send_message(conn, JobDone(100, hit_count, 1))
+                    send_message(conn, JobDone(hashed_count, hit_count, 1))
                 except (OSError, ConnectionLostError):
                     pass  # the client hung up first
 
@@ -249,19 +251,21 @@ def scripted_server(pairs, hit_count, connections=1):
 
 
 class TestHostileServer:
-    @pytest.mark.parametrize("pairs, hit_count", [
-        ((("c6bfabzz", b"pw"),), 1),
-        ((("c6bfab", b"pw"),), 1),
-        ((("c6bfaba2", b"two\nlines"),), 1),
-        ((("c6bfaba2", b"pw"),), 2),
+    @pytest.mark.parametrize("pairs, hit_count, hashed_count", [
+        ((("c6bfabzz", b"pw"),), 1, 100),
+        ((("c6bfab", b"pw"),), 1, 100),
+        ((("c6bfaba2", b"two\nlines"),), 1, 100),
+        ((("c6bfaba2", b"pw"),), 2, 100),
+        ((("c6bfaba2", b"pw"),), 1, 99),
     ], ids=["non-hex-digest", "digest-width", "newline-in-password",
-            "hit-count"])
-    def test_malformed_results_are_protocol_violations(self, tmp_path,
-                                                       pairs, hit_count):
+            "hit-count", "hashed-count"])
+    def test_malformed_results_are_protocol_violations(
+            self, tmp_path, pairs, hit_count, hashed_count):
         plan = _make_plan(seed=12)
         plan_path = tmp_path / "job.plan"
         plan_path.write_text(plan.to_text())
-        with scripted_server(pairs, hit_count, 2) as (host, port):
+        with scripted_server(pairs, hit_count, 2,
+                             hashed_count) as (host, port):
             with pytest.raises(ProtocolViolation):
                 run_job(plan, (host, port), tmp_path / "a.pot", timeout=10)
             assert client_main([
@@ -278,6 +282,17 @@ class TestHostileServer:
         assert report.hit_count == 2
         assert (tmp_path / "a.pot").read_bytes() == (
             b"c6bfaba2:pw\n00ff00ff:a:b\n")
+
+    def test_plan_without_keyspace_size_takes_any_hashed_count(self,
+                                                              tmp_path):
+        # genv plans store keyspace_size 0: there is no |DS| to hold the
+        # server to
+        plan = _make_plan(seed=12)
+        plan.keyspace_size, plan.expected_candidates = 0, 0.0
+        with scripted_server((("c6bfaba2", b"pw"),), 1,
+                             hashed_count=12345) as endpoint:
+            report = run_job(plan, endpoint, tmp_path / "a.pot", timeout=10)
+        assert report.hashed_count == 12345
 
 
 class TestClientSession:
