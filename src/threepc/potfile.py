@@ -1,7 +1,9 @@
 """Candidate-set files: one `<digest-hex>:<password-bytes>` record per line.
 
-The digest field is lowercase hex of fixed width per algorithm, so the
-separator position is fixed and passwords may contain colons.
+The digest field is hex of fixed width per algorithm, so the separator
+position is fixed and passwords may contain colons (and a `\r`, which
+stays in the password).  Writers emit lowercase; readers accept either
+case and lowercase it.
 """
 
 from __future__ import annotations
@@ -9,6 +11,8 @@ from __future__ import annotations
 import binascii
 from pathlib import Path
 from typing import BinaryIO, Iterator, Sequence
+
+import numpy as np
 
 
 class PotfileParseError(ValueError):
@@ -72,32 +76,107 @@ class PotfileWriter:
         self.close()
 
 
+_NEWLINE, _COLON = ord("\n"), ord(":")
+# 256-entry byte tables, read through numpy views
+_IS_HEX = bytes(c in b"0123456789abcdefABCDEF" for c in range(256))
+_LOWER = bytes.maketrans(b"ABCDEF", b"abcdef")
+
+
+class PotfileIndex:
+    """A potfile read once: its bytes, where each line starts and ends,
+    and every digest field, checked and lowercased, as one (n, width)
+    uint8 matrix.  Records are built only when asked for."""
+
+    def __init__(self, data: bytes, width: int):
+        buf = np.frombuffer(data, np.uint8)
+        ends = np.flatnonzero(buf == _NEWLINE)
+        if len(buf) and buf[-1] != _NEWLINE:  # a last line with no newline
+            ends = np.append(ends, len(buf))
+        starts = np.empty_like(ends)
+        starts[:1] = 0
+        starts[1:] = ends[:-1] + 1
+        n = len(starts)
+        ok = ends - starts > width
+        # check only the lines before the first short one, so that every
+        # index below stays inside the buffer
+        short = np.flatnonzero(~ok)
+        checked = int(short[0]) if len(short) else n
+        head, ok_head = starts[:checked], ok[:checked]
+        ok_head[:] = buf[width:].take(head) == _COLON
+        digests = np.empty((n, width), np.uint8)
+        is_hex = np.frombuffer(_IS_HEX, bool)
+        lower = np.frombuffer(_LOWER, np.uint8)
+        for j in range(width):
+            column = buf[j:].take(head)
+            ok_head &= is_hex.take(column)
+            digests[:checked, j] = lower.take(column)
+        if not ok.all():
+            first = int(np.argmin(ok))
+            _check_line(data[starts[first]:ends[first]], width, first + 1)
+            raise AssertionError(f"line {first + 1} passes the line check")
+        self.data, self.width = data, width
+        self.starts, self.ends, self.digests = starts, ends, digests
+
+    @classmethod
+    def read(cls, path: str | Path, width: int) -> "PotfileIndex":
+        return cls(Path(path).read_bytes(), width)
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def record(self, i: int) -> tuple[int, str, bytes]:
+        """(line_no, digest_hex, password) of the record at row i."""
+        start = int(self.starts[i]) + self.width + 1
+        return (i + 1, self.digests[i].tobytes().decode("ascii"),
+                self.data[start:int(self.ends[i])])
+
+    def rows_with_digest(self, digest_hex: str) -> np.ndarray:
+        """Rows whose digest is digest_hex (lowercase), in file order."""
+        keys = self.digests.view(f"S{self.width}").ravel()
+        return np.flatnonzero(keys == digest_hex.encode("ascii"))
+
+    def __iter__(self) -> Iterator[tuple[int, str, bytes]]:
+        w, data = self.width, self.data
+        hexes = self.digests.tobytes().decode("ascii")
+        for i, (start, end) in enumerate(zip(self.starts.tolist(),
+                                             self.ends.tolist())):
+            yield (i + 1, hexes[i * w:(i + 1) * w], data[start + w + 1:end])
+
+
+def _check_line(line: bytes, width: int, line_no: int) -> None:
+    """The per-line parse, kept for the message of the first bad line."""
+    if len(line) < width + 1:
+        raise PotfileParseError("record shorter than digest field", line_no)
+    if line[width:width + 1] != b":":
+        raise PotfileParseError("missing ':' after digest field", line_no)
+    try:
+        binascii.unhexlify(line[:width])
+    except binascii.Error:
+        raise PotfileParseError("digest field is not hex", line_no) from None
+
+
+def as_index(source: str | Path | PotfileIndex, width: int) -> PotfileIndex:
+    """source itself if it is an index, else the file it names, read."""
+    if isinstance(source, PotfileIndex):
+        if source.width != width:
+            raise ValueError(f"index has {source.width}-digit digests, "
+                             f"not {width}")
+        return source
+    return PotfileIndex.read(source, width)
+
+
 def iter_potfile(path: str | Path, digest_hex_width: int
                  ) -> Iterator[tuple[int, str, bytes]]:
-    """Yield (line_no, digest_hex, password) records; strict parse."""
-    data = Path(path).read_bytes()
-    if not data:
-        return
-    lines = data.split(b"\n")
-    if lines and lines[-1] == b"":
-        lines.pop()
-    for i, line in enumerate(lines, start=1):
-        if len(line) < digest_hex_width + 1:
-            raise PotfileParseError("record shorter than digest field", i)
-        if line[digest_hex_width:digest_hex_width + 1] != b":":
-            raise PotfileParseError("missing ':' after digest field", i)
-        digest_hex = line[:digest_hex_width]
-        try:
-            binascii.unhexlify(digest_hex)
-        except binascii.Error:
-            raise PotfileParseError("digest field is not hex", i) from None
-        yield i, digest_hex.decode("ascii").lower(), line[digest_hex_width + 1:]
+    """Yield (line_no, digest_hex, password) records; strict parse.  The
+    whole file is checked before the first record is yielded."""
+    yield from PotfileIndex.read(path, digest_hex_width)
 
 
 def read_potfile(path: str | Path, digest_hex_width: int
                  ) -> list[tuple[int, str, bytes]]:
-    return list(iter_potfile(path, digest_hex_width))
+    return list(PotfileIndex.read(path, digest_hex_width))
 
 
-def count_records(path: str | Path, digest_hex_width: int) -> int:
-    return sum(1 for _ in iter_potfile(path, digest_hex_width))
+def count_records(source: str | Path | PotfileIndex,
+                  digest_hex_width: int) -> int:
+    return len(as_index(source, digest_hex_width))

@@ -61,8 +61,8 @@ class VerificationVerdict:
         return self.pow_pass and self.spotcheck_pass and not self.forged_lines
 
 
-def chk_cs(potfile_path: str | Path, target: Digest, algo_id: str
-           ) -> TargetLookup:
+def chk_cs(potfile_path: str | Path | potfile.PotfileIndex, target: Digest,
+           algo_id: str) -> TargetLookup:
     """Scan the candidate set for the target digest.
 
     Every recorded match is re-hashed; forged lines (right digest, wrong
@@ -70,13 +70,12 @@ def chk_cs(potfile_path: str | Path, target: Digest, algo_id: str
     reported rather than hidden.
     """
     width = hashers.descriptor(algo_id).digest_nibbles
+    index = potfile.as_index(potfile_path, width)
     target_hex = target.hex
     cleartexts: list[bytes] = []
     forged: list[int] = []
-    for line_no, digest_hex, password in potfile.iter_potfile(potfile_path,
-                                                              width):
-        if digest_hex != target_hex:
-            continue
+    for row in index.rows_with_digest(target_hex):
+        line_no, _, password = index.record(row)
         try:
             fresh = hashers.digest(algo_id, password)
         except hashers.CandidateEncodingError:
@@ -101,21 +100,22 @@ def proof_of_work(hit_count: int, expected_r: float,
     return PowResult(abs(z) <= z_threshold, z)
 
 
-def spot_check(potfile_path: str | Path, v: PredicateVector, algo_id: str,
+def spot_check(potfile_path: str | Path | potfile.PotfileIndex,
+               v: PredicateVector, algo_id: str,
                sample_size: int = DEFAULT_SPOT_SAMPLE,
                rng: random.Random | int | None = None) -> SpotCheckResult:
     """Re-hash a uniform sample of candidate-set lines; every sampled pair
     must reproduce its digest and satisfy the predicate."""
-    if sample_size < 1:
-        raise ValueError("sample_size must be >= 1")
+    _check_sample_size(sample_size)
     if not isinstance(rng, random.Random):
         rng = random.Random(rng)
     width = hashers.descriptor(algo_id).digest_nibbles
-    records = potfile.read_potfile(potfile_path, width)
-    if not records:
+    index = potfile.as_index(potfile_path, width)
+    if not len(index):
         return SpotCheckResult(True, 0)
-    k = min(sample_size, len(records))
-    sample = rng.sample(records, k)
+    k = min(sample_size, len(index))
+    # the same draws as rng.sample(records, k), without building records
+    sample = [index.record(i) for i in rng.sample(range(len(index)), k)]
     bad: list[int] = []
     for line_no, digest_hex, password in sample:
         try:
@@ -129,17 +129,25 @@ def spot_check(potfile_path: str | Path, v: PredicateVector, algo_id: str,
     return SpotCheckResult(not bad, k, tuple(bad))
 
 
+def _check_sample_size(sample_size: int) -> None:
+    if sample_size < 1:
+        raise ValueError("sample_size must be >= 1")
+
+
 def verify(potfile_path: str | Path, target: Digest, v: PredicateVector,
            algo_id: str, expected_r: float,
            z_threshold: float = DEFAULT_Z_THRESHOLD,
            spot_sample: int = DEFAULT_SPOT_SAMPLE,
            rng: random.Random | int | None = None) -> VerificationVerdict:
-    """Full CHK-CS: target lookup, proof of work, spot check."""
+    """Full CHK-CS: target lookup, proof of work, spot check, over one
+    read of the potfile."""
+    _check_sample_size(spot_sample)
     width = hashers.descriptor(algo_id).digest_nibbles
-    hit_count = potfile.count_records(potfile_path, width)
-    lookup = chk_cs(potfile_path, target, algo_id)
+    index = potfile.PotfileIndex.read(potfile_path, width)
+    hit_count = potfile.count_records(index, width)
+    lookup = chk_cs(index, target, algo_id)
     pow_result = proof_of_work(hit_count, expected_r, z_threshold)
-    spot = spot_check(potfile_path, v, algo_id, spot_sample, rng)
+    spot = spot_check(index, v, algo_id, spot_sample, rng)
     return VerificationVerdict(
         cracked=lookup.cracked,
         cleartext=lookup.cleartext,
