@@ -2,7 +2,8 @@
 
 ``md4`` hashes one message in pure Python and is the reference;
 ``md4_batch`` hashes many equal-length messages at once as numpy
-``uint32`` column operations, which is what the NTLM block kernel runs.
+``uint32`` column operations into a digest matrix, which is what the NTLM
+block kernel runs.
 """
 
 from __future__ import annotations
@@ -90,9 +91,9 @@ _ROUNDS = (  # (boolean function, constant, word order, shifts) per round
 )
 
 
-def md4_batch(messages: Sequence[bytes], length: int) -> list[bytes]:
-    """MD4 digests of messages that are all ``length`` bytes long, in
-    input order.
+def md4_batch(messages: Sequence[bytes], length: int) -> np.ndarray:
+    """MD4 digests of messages that are all ``length`` bytes long, as an
+    (n, 16) uint8 matrix with one digest per row, in input order.
 
     Every message gets the same padding, so the padded inputs form one
     (n, 16 * blocks) little-endian word matrix whose columns are hashed
@@ -100,7 +101,7 @@ def md4_batch(messages: Sequence[bytes], length: int) -> list[bytes]:
     """
     n = len(messages)
     if n == 0:
-        return []
+        return np.empty((0, 16), dtype=np.uint8)
     if set(map(len, messages)) != {length}:
         raise ValueError(f"messages must all be {length} bytes long")
     pad = (b"\x80" + b"\x00" * (-(length + 9) % 64)
@@ -128,4 +129,4 @@ def md4_batch(messages: Sequence[bytes], length: int) -> list[bytes]:
                 # rotating the registers makes the next step's target a
                 a, b, c, d = d, (t << s) | (t >> (32 - s)), b, c
         state = [h + v for h, v in zip(state, (a, b, c, d))]
-    return np.stack(state, axis=1).astype("<u4").view("V16").ravel().tolist()
+    return np.stack(state, axis=1).astype("<u4").view(np.uint8)

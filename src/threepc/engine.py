@@ -3,13 +3,18 @@ predicate, stream the survivors to a sink.
 
 The keyspace is enumerated in batches of up to ``keyspace._BLOCK_CAP``
 candidates, and each batch goes through the algorithm's block kernel
-(``hashers.scan_fn``) in one call.  The kernel hashes the batch, applies
-the predicate to each digest, and reports how many candidates it could
-not hash (NTLM skips those that are not UTF-8).
+(``hashers.scan_fn``) in one call.  The kernel hashes the batch into a
+digest matrix, one row per candidate, and hands it to the predicate
+filter, which runs once per block as numpy table lookups; the kernel
+then reports how many candidates it could not hash (NTLM skips those
+that are not UTF-8).
 
-The predicate is compiled to per-byte lookup tables evaluated in order of
-restrictiveness, so the per-hash cost is a hash plus (on average) about
-one table probe regardless of decoy-set size.
+The predicate is compiled to per-byte lookup tables (``_byte_tables``),
+ordered most restrictive first.  ``compile_filter`` looks the first one
+up over a whole digest column and each further one over the survivors
+only, so the cost per candidate is about one column gather regardless of
+decoy-set size.  ``compile_checker`` probes the same tables for a single
+digest.
 
 ``crack_parallel`` splits the keyspace into contiguous index ranges and
 scans them in a forked pool; each pool receives its job through its
@@ -28,6 +33,8 @@ import time
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterator, Protocol, Sequence
+
+import numpy as np
 
 from . import hashers, keyspace
 from .predicate import PredicateVector
@@ -59,31 +66,34 @@ class EngineAbortError(RuntimeError):
         self.report = report
 
 
+# high and low nibble of each byte value
+_HI = np.arange(256) >> 4
+_LO = np.arange(256) & 0xF
+
+
+def _byte_tables(v: PredicateVector) -> list[tuple[int, np.ndarray]]:
+    """(digest byte index, 256-entry bool table) for every byte the vector
+    restricts, most restrictive first; fully free bytes are left out."""
+    if len(v) % 2 != 0:
+        raise ValueError("vector length must cover whole digest bytes")
+    # per byte: high nibble lo, hi, then low nibble lo, hi
+    b = np.array(v.bounds).reshape(-1, 4, 1)
+    tables = ((b[:, 0] <= _HI) & (_HI <= b[:, 1])
+              & (b[:, 2] <= _LO) & (_LO <= b[:, 3]))
+    counts = tables.sum(axis=1)
+    return [(k, tables[k]) for k in np.argsort(counts, kind="stable").tolist()
+            if counts[k] < 256]
+
+
 def compile_checker(v: PredicateVector) -> Callable[[bytes], bool]:
-    """Byte-table membership test over raw digests, equivalent to
+    """Byte-table membership test over one raw digest, equivalent to
     eval_predicate on the nibble form.
 
     Fully-free bytes are skipped and pinned bytes are probed most
     restrictive first, which keeps the average cost near one probe and
     independent of cardinality.
     """
-    if len(v) % 2 != 0:
-        raise ValueError("vector length must cover whole digest bytes")
-    n_bytes = len(v) // 2
-    tables: list[tuple[int, int, bytes]] = []  # (popcount, index, table)
-    for k in range(n_bytes):
-        hi_lo, hi_hi = v.bounds[2 * k]
-        lo_lo, lo_hi = v.bounds[2 * k + 1]
-        tbl = bytearray(256)
-        count = 0
-        for b in range(256):
-            if hi_lo <= (b >> 4) <= hi_hi and lo_lo <= (b & 0xF) <= lo_hi:
-                tbl[b] = 1
-                count += 1
-        if count < 256:
-            tables.append((count, k, bytes(tbl)))
-    tables.sort()
-    checks = tuple((k, tbl) for _, k, tbl in tables)
+    checks = tuple((k, tbl.tobytes()) for k, tbl in _byte_tables(v))
 
     if not checks:
         return lambda digest: True
@@ -103,6 +113,31 @@ def compile_checker(v: PredicateVector) -> Callable[[bytes], bool]:
         return True
 
     return check
+
+
+def compile_filter(v: PredicateVector) -> hashers.Keep:
+    """The predicate over a block: ``keep(m)`` takes an (n, digest bytes)
+    uint8 matrix and returns the ascending indices of the rows that
+    satisfy v.
+
+    The most restrictive byte column is looked up over every row, each
+    further table over the survivors only, so a row costs about one
+    column gather whatever the cardinality.
+    """
+    tables = _byte_tables(v)
+    if not tables:
+        return lambda m: np.arange(len(m))
+    (k0, t0), rest = tables[0], tables[1:]
+
+    def keep(m: np.ndarray) -> np.ndarray:
+        rows = np.flatnonzero(t0.take(m[:, k0]))
+        for k, tbl in rest:
+            if not len(rows):
+                break
+            rows = rows[tbl.take(m[rows, k])]
+        return rows
+
+    return keep
 
 
 def _batches(spec: keyspace.KeyspaceSpec, start: int, stop: int
@@ -136,12 +171,12 @@ def _scan_range(v: PredicateVector, spec: keyspace.KeyspaceSpec,
                 ) -> tuple[int, int, list[tuple[bytes, bytes]]]:
     """Hash candidates [start, stop); return (hashed, skipped, hits)."""
     scan = hashers.scan_fn(algo_id)
-    check = compile_checker(v)
+    keep = compile_filter(v)
     hits: list[tuple[bytes, bytes]] = []
     hashed = skipped = 0
     for batch in _batches(spec, start, stop):
         hashed += len(batch)
-        skipped += scan(batch, check, hits.append)
+        skipped += scan(batch, keep, hits.append)
     return hashed, skipped, hits
 
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import hashers, potfile
-from .predicate import Digest, PredicateVector, eval_predicate
+from .engine import compile_checker
+from .predicate import Digest, LengthMismatchError, PredicateVector
 
 DEFAULT_Z_THRESHOLD = 5.0
 DEFAULT_SPOT_SAMPLE = 1000
@@ -71,17 +72,18 @@ def chk_cs(potfile_path: str | Path | potfile.PotfileIndex, target: Digest,
     """
     width = hashers.descriptor(algo_id).digest_nibbles
     index = potfile.as_index(potfile_path, width)
+    raw = hashers.raw_fn(algo_id)
     target_hex = target.hex
     cleartexts: list[bytes] = []
     forged: list[int] = []
     for row in index.rows_with_digest(target_hex):
         line_no, _, password = index.record(row)
         try:
-            fresh = hashers.digest(algo_id, password)
+            fresh = raw(password)
         except hashers.CandidateEncodingError:
             forged.append(line_no)
             continue
-        if fresh.hex == target_hex:
+        if fresh.hex() == target_hex:
             cleartexts.append(password)
         else:
             forged.append(line_no)
@@ -113,17 +115,22 @@ def spot_check(potfile_path: str | Path | potfile.PotfileIndex,
     index = potfile.as_index(potfile_path, width)
     if not len(index):
         return SpotCheckResult(True, 0)
+    if len(v) != width:
+        raise LengthMismatchError(
+            f"vector length {len(v)} != digest length {width}")
+    raw = hashers.raw_fn(algo_id)
+    check = compile_checker(v)
     k = min(sample_size, len(index))
     # the same draws as rng.sample(records, k), without building records
     sample = [index.record(i) for i in rng.sample(range(len(index)), k)]
     bad: list[int] = []
     for line_no, digest_hex, password in sample:
         try:
-            fresh = hashers.digest(algo_id, password)
+            fresh = raw(password)
         except hashers.CandidateEncodingError:
             bad.append(line_no)
             continue
-        if fresh.hex != digest_hex or not eval_predicate(v, fresh):
+        if fresh.hex() != digest_hex or not check(fresh):
             bad.append(line_no)
     bad.sort()
     return SpotCheckResult(not bad, k, tuple(bad))

@@ -1,16 +1,20 @@
-"""The traced benchmark reads the verifier through module attributes:
+"""The traced benchmark reads the program through module attributes:
 `perfbench/program.py` wraps `verifier.verify`, `verifier.chk_cs`,
 `verifier.spot_check` and `potfile.count_records`, and its
-`verify_layers` times the last three as direct children of the first.
-This test runs that tracer, unedited, around one `verify`."""
+`verify_layers` times the last three as direct children of the first;
+its `crack_layers` and `constant_time_layers` call `hashers.raw_fn` and
+`engine.compile_checker`.  These tests run that file, unedited, on tiny
+inputs, so a rename fails here rather than in a traced run."""
 
 import importlib.util
 import numbers
 from pathlib import Path
 
-from threepc import hashers, verifier
+import pytest
+
+from threepc import hashers, keyspace, verifier
 from threepc.potfile import PotfileWriter
-from threepc.predicate import zk_vector
+from threepc.predicate import PredicateVector, serialize_vector, zk_vector
 
 PROGRAM = Path(__file__).resolve().parent.parent / "perfbench" / "program.py"
 
@@ -44,3 +48,25 @@ def test_verify_layers_are_numbers(tmp_path):
                            "verifier.spot_s", "verifier.file_reads"}
     for key, value in layers.items():
         assert isinstance(value, numbers.Real), key
+
+
+@pytest.mark.parametrize("algo", ["crc32", "ntlm"])
+def test_crack_layers_are_numbers(algo):
+    program = load_program()
+    spec = keyspace.make_keyspace("mask:?d?d")
+    nibbles = hashers.descriptor(algo).digest_nibbles
+    vector = PredicateVector(((0, 7),) + ((0, 15),) * (nibbles - 1))
+    layers = program.crack_layers({"algo": algo, "hash_sample": 50}, spec,
+                                  serialize_vector(vector))
+    assert set(layers) == {"keyspace.enum_rate", "hashers.rate",
+                           "engine.check_ns"}
+    for key, value in layers.items():
+        assert isinstance(value, numbers.Real) and value > 0, key
+
+
+def test_constant_time_layers_are_numbers():
+    layers = load_program().constant_time_layers(seed=1)
+    assert set(layers) == {"engine.check_ns_d2", "engine.check_ns_d26"}
+    for key, value in layers.items():
+        assert isinstance(value, numbers.Real) and value > 0, key
+

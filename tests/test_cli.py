@@ -385,10 +385,11 @@ class TestServerProcess:
     def test_sigterm_mid_job_leaves_partial_potfile(self, tmp_path, capsys):
         corpus_dir = tmp_path / "corpus"
         corpus_dir.mkdir()
-        # 10^7 candidates keep the single-worker server busy for seconds
+        # 10^8 candidates keep the server busy for seconds (it hashes
+        # 10^7 crc32 PINs in about one)
         plan_path, _, target = make_plan(
-            tmp_path, capsys, target_pw=b"0123456",
-            descriptor="mask:?d?d?d?d?d?d?d")
+            tmp_path, capsys, target_pw=b"01234567",
+            descriptor="mask:?d?d?d?d?d?d?d?d")
         proc, (host, port) = self._spawn_server(tmp_path, corpus_dir)
         out = tmp_path / "partial.pot"
         try:

@@ -2,12 +2,20 @@ import random
 import signal
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from threepc import engine, hashers, keyspace
-from threepc.engine import EngineAbortError, ListSink, compile_checker, crack, crack_parallel
+from threepc.engine import (
+    EngineAbortError,
+    ListSink,
+    compile_checker,
+    compile_filter,
+    crack,
+    crack_parallel,
+)
 from threepc.planner import SlotPacking, gen_v
 from threepc.predicate import (
     Digest,
@@ -87,6 +95,65 @@ class TestCompileChecker:
     def test_odd_length_rejected(self):
         with pytest.raises(ValueError):
             compile_checker(PredicateVector(((0, 15),) * 3))
+
+
+def digest_matrix(rows, width):
+    return np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(-1, width)
+
+
+def checker_rows(v, m):
+    """The rows compile_checker accepts, one digest at a time."""
+    check = compile_checker(v)
+    return [i for i, row in enumerate(m) if check(row.tobytes())]
+
+
+@st.composite
+def box_and_rows(draw):
+    """A non-empty box over 1, 4 or 16 digest bytes, and up to 80 random
+    rows with a member of the box planted at every third row."""
+    width = draw(st.sampled_from([1, 4, 16]))
+    bounds = draw(st.lists(
+        st.one_of(st.just((0, 15)),
+                  st.tuples(st.integers(0, 15), st.integers(0, 15)).map(
+                      lambda p: (min(p), max(p)))),
+        min_size=2 * width, max_size=2 * width))
+    member = [draw(st.integers(lo, hi)) for lo, hi in bounds]
+    member = bytes(h << 4 | lo for h, lo in zip(member[::2], member[1::2]))
+    rows = draw(st.lists(st.binary(min_size=width, max_size=width),
+                         max_size=80))
+    rows = [member if i % 3 == 0 else r for i, r in enumerate(rows)]
+    return PredicateVector(tuple(bounds)), digest_matrix(rows, width)
+
+
+class TestCompileFilter:
+    @given(box_and_rows())
+    def test_matches_checker_row_by_row(self, case):
+        v, m = case
+        kept = compile_filter(v)(m).tolist()
+        assert kept == checker_rows(v, m)
+        assert set(range(0, len(m), 3)) <= set(kept)
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 500])
+    @pytest.mark.parametrize("case", ["zk", "singleton", "empty-box"])
+    def test_edge_vectors(self, case, n_rows):
+        rng = random.Random(n_rows)
+        target = b"\x12\x34\x56\x78"
+        rows = [target if i % 7 == 0 else rng.randbytes(4)
+                for i in range(n_rows)]
+        v, expected = {
+            "zk": (zk_vector(8), list(range(n_rows))),
+            "singleton": (singleton_vector(Digest.from_bytes(target)),
+                          [i for i, r in enumerate(rows) if r == target]),
+            "empty-box": (PredicateVector(((0, 15),) * 5 + ((9, 3),)
+                                          + ((0, 15),) * 2), []),
+        }[case]
+        m = digest_matrix(rows, 4)
+        kept = compile_filter(v)(m)
+        assert kept.tolist() == expected == checker_rows(v, m)
+
+    def test_odd_length_rejected(self):
+        with pytest.raises(ValueError):
+            compile_filter(PredicateVector(((0, 15),) * 3))
 
 
 class TestBatches:
@@ -241,10 +308,10 @@ class TestCrackParallel:
             signal.signal(signal.SIGTERM, old)
 
     def test_workers_reset_sigterm_to_default(self, monkeypatch):
-        def probe(block, check, append):
+        def probe(block, keep, append):
             default = signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
-            for pw in block:
-                append((pw, bytes([default])))
+            for i in keep(np.zeros((len(block), 4), dtype=np.uint8)):
+                append((block[i], bytes([default])))
             return 0
 
         monkeypatch.setattr(hashers, "scan_fn", lambda algo_id: probe)

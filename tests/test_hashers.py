@@ -1,13 +1,17 @@
+import hashlib
 import random
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from threepc import hashers
 from threepc._md4 import md4, md4_batch
+from threepc.engine import compile_filter
 from threepc.hashers import CandidateEncodingError, UnknownAlgoError
+from threepc.predicate import Digest, PredicateVector, eval_predicate, zk_vector
 
 import fixtures
 
@@ -32,7 +36,8 @@ class TestMd4:
     @pytest.mark.parametrize("message,expected", MD4_VECTORS)
     def test_rfc_vectors_batched(self, message, expected):
         out = md4_batch([message] * 3, len(message))
-        assert out == [bytes.fromhex(expected)] * 3
+        assert out.shape == (3, 16)
+        assert [row.tobytes() for row in out] == [bytes.fromhex(expected)] * 3
 
     def test_batch_rejects_unequal_lengths(self):
         with pytest.raises(ValueError):
@@ -131,13 +136,92 @@ def ntlm_oracle(block):
     return hits, skipped
 
 
+def keep_all(m):
+    return np.arange(len(m))
+
+
 class TestNtlmKernel:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_candidate, max_size=40))
     def test_matches_md4_oracle(self, block):
         hits = []
-        skipped = hashers.scan_fn("ntlm")(block, lambda d: True, hits.append)
+        skipped = hashers.scan_fn("ntlm")(block, keep_all, hits.append)
         assert (hits, skipped) == ntlm_oracle(block)
+
+
+@st.composite
+def vectors(draw, nibbles):
+    """Free except at up to four positions, so some rows pass; one draw in
+    ten of a restricted position is an empty range (hi < lo)."""
+    bounds = [(0, 15)] * nibbles
+    for i in draw(st.lists(st.integers(0, nibbles - 1), max_size=4)):
+        a, b = draw(st.integers(0, 15)), draw(st.integers(0, 15))
+        empty = a != b and draw(st.integers(0, 9)) == 0
+        bounds[i] = (max(a, b), min(a, b)) if empty else (min(a, b), max(a, b))
+    return PredicateVector(tuple(bounds))
+
+
+def kernel_oracle(algo, v, block):
+    """Hash one candidate at a time with raw_fn and filter with the pure
+    predicate: (hits in block order, skipped)."""
+    raw = hashers.raw_fn(algo)
+    hits, skipped = [], 0
+    for pw in block:
+        try:
+            d = raw(pw)
+        except CandidateEncodingError:
+            skipped += 1
+            continue
+        if eval_predicate(v, Digest.from_bytes(d)):
+            hits.append((pw, d))
+    return hits, skipped
+
+
+@pytest.fixture
+def md5_default_kernel(monkeypatch):
+    """An algorithm registered without a block kernel."""
+    monkeypatch.setattr(hashers, "_REGISTRY", dict(hashers._REGISTRY))
+    hashers.register_algo("md5-test", 32,
+                          lambda pw: hashlib.md5(pw).digest())
+    return "md5-test"
+
+
+class TestKernels:
+    @pytest.mark.parametrize("algo", ["crc32", "sha256", "ntlm", "default"])
+    # the fixture only registers an algorithm, which every example reads
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_hits_match_raw_fn_oracle(self, algo, md5_default_kernel, data):
+        if algo == "default":
+            algo = md5_default_kernel
+        nibbles = hashers.descriptor(algo).digest_nibbles
+        v = data.draw(vectors(nibbles))
+        block = data.draw(st.lists(
+            _candidate if algo == "ntlm" else st.binary(max_size=20),
+            max_size=60))
+        hits = []
+        skipped = hashers.scan_fn(algo)(block, compile_filter(v), hits.append)
+        assert (hits, skipped) == kernel_oracle(algo, v, block)
+
+    def test_ntlm_block_with_length_groups_and_invalid_utf8(self):
+        # interleaved UTF-16LE lengths and rows that are not UTF-8, so hits
+        # from several length groups merge back in block order
+        words = [b"a", b"\xff", "é".encode(), b"ab", b"\xc3", b"abc",
+                 "\U0001f511".encode(), b"\xed\xa0\x80", b"abcd", b"x"]
+        block = [words[i % len(words)] + b"%d" % (i % 7) for i in range(200)]
+        valid, _ = kernel_oracle("ntlm", zk_vector(32), block)
+        assert len({len(pw.decode("utf-8").encode("utf-16-le"))
+                    for pw, _ in valid}) >= 4
+        for v in (zk_vector(32),
+                  PredicateVector(((0, 7), (0, 15)) + ((0, 15),) * 30),
+                  PredicateVector(((0, 3), (4, 15)) + ((0, 15),) * 30)):
+            hits = []
+            skipped = hashers.scan_fn("ntlm")(block, compile_filter(v),
+                                              hits.append)
+            assert (hits, skipped) == kernel_oracle("ntlm", v, block)
+            assert skipped == 60
+            assert hits
 
 
 class TestMeasureRate:
