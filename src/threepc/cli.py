@@ -26,7 +26,7 @@ from pathlib import Path
 
 from . import engine, hashers, keyspace, planner, potfile, protocol, verifier
 from .planner import DuplicatePlanError, PlanStore, WidenToleranceError
-from .predicate import cardinality, parse_vector, serialize_vector
+from .predicate import parse_vector
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -94,18 +94,9 @@ def cmd_genv(args) -> int:
     seed = _pick_seed(args)
     store = PlanStore(args.plan_store)
     try:
-        found = planner.smooth_search(args.nv, len(target), args.tolerance)
-        vector = planner.gen_v(target, found.packing, random.Random(seed))
-        plan = planner.Plan(
-            target_hex=target.hex, algo_id=args.algo,
-            keyspace_descriptor=args.keyspace or "none",
-            keyspace_size=0, r=0.0, nv_target=args.nv,
-            tolerance=args.tolerance, seed=seed,
-            vector_hex=serialize_vector(vector),
-            cardinality=cardinality(vector),
-            expected_candidates=0.0,
-            deniability=planner.deniability(vector),
-        )
+        plan = planner.plan_for_nv(
+            target, args.algo, args.keyspace or "none", keyspace_size=0,
+            r=0.0, nv_target=args.nv, tolerance=args.tolerance, seed=seed)
         path = store.save(plan)
     except WidenToleranceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,13 +1,16 @@
 """Server-side cracking loop: hash the keyspace, filter through the
 predicate, stream the survivors to a sink.
 
-The keyspace is enumerated in batches of up to ``keyspace._BLOCK_CAP``
-candidates, and each batch goes through the algorithm's block kernel
-(``hashers.scan_fn``) in one call.  The kernel hashes the batch into a
-digest matrix, one row per candidate, and hands it to the predicate
-filter, which runs once per block as numpy table lookups; the kernel
-then reports how many candidates it could not hash (NTLM skips those
-that are not UTF-8).
+One batch is the unit of work.  ``crack_parallel`` cuts the keyspace into
+max(n_workers, ceil(|DS| / keyspace._BLOCK_CAP)) contiguous index ranges
+whose sizes differ by at most one, made as they are used (``_ranges``).
+Each range is one candidate list, one call of the algorithm's block
+kernel (``hashers.scan_fn``) and one ``sink.write_batch`` of its hits, so
+a kernel's working memory and the hits held in the serial path stay
+within one batch.  The kernel hashes the batch into a digest matrix, one
+row per candidate, and hands it to the predicate filter, which runs once
+per batch as numpy table lookups; the kernel then reports how many
+candidates it could not hash (NTLM skips those that are not UTF-8).
 
 The predicate is compiled to per-byte lookup tables (``_byte_tables``),
 ordered most restrictive first.  ``compile_filter`` looks the first one
@@ -16,9 +19,9 @@ only, so the cost per candidate is about one column gather regardless of
 decoy-set size.  ``compile_checker`` probes the same tables for a single
 digest.
 
-``crack_parallel`` splits the keyspace into contiguous index ranges and
-scans them in a forked pool; each pool receives its job through its
-worker initializer, so concurrent jobs in one process stay apart.
+With several workers the ranges are scanned in a forked pool; each pool
+receives its job through its worker initializer, so concurrent jobs in
+one process stay apart.
 
 The sink receives pairs in keyspace enumeration order at any worker
 count: kernels append hits in block order and ranges are consumed in
@@ -31,17 +34,14 @@ import multiprocessing
 import signal
 import time
 from dataclasses import dataclass
-from itertools import chain
-from typing import Callable, Iterator, Protocol, Sequence
+from typing import Callable, Iterator, Protocol
 
 import numpy as np
 
 from . import hashers, keyspace
 from .predicate import PredicateVector
 
-FLUSH_BATCH = 4096
 PROGRESS_EVERY = 10_000_000
-CHUNKS_PER_WORKER = 16
 
 
 class Sink(Protocol):
@@ -140,44 +140,30 @@ def compile_filter(v: PredicateVector) -> hashers.Keep:
     return keep
 
 
-def _batches(spec: keyspace.KeyspaceSpec, start: int, stop: int
-             ) -> Iterator[Sequence[bytes]]:
-    """Candidates [start, stop) in enumeration order, in batches of at most
-    keyspace._BLOCK_CAP: small blocks are merged and large ones split, so
-    a kernel's working memory stays bounded."""
-    cap = keyspace._BLOCK_CAP
-    parts: list[Sequence[bytes]] = []
-    size = 0
-    for prefix, suffixes, lo, hi in keyspace.iter_blocks(spec, start, stop):
-        for at in range(lo, hi, cap):
-            part = suffixes[at:min(at + cap, hi)]
-            if prefix:
-                part = [prefix + s for s in part]
-            if size + len(part) > cap:
-                yield _joined(parts)
-                parts, size = [], 0
-            parts.append(part)
-            size += len(part)
-    if parts:
-        yield _joined(parts)
-
-
-def _joined(parts: list[Sequence[bytes]]) -> Sequence[bytes]:
-    return parts[0] if len(parts) == 1 else list(chain.from_iterable(parts))
+def _ranges(total: int, n_workers: int) -> Iterator[tuple[int, int]]:
+    """[0, total) in max(n_workers, ceil(total / keyspace._BLOCK_CAP))
+    contiguous ranges, made as they are used; sizes differ by at most one
+    and never exceed the cap.  Empty ranges (total < n_workers) are left
+    out."""
+    n = max(n_workers, -(-total // keyspace._BLOCK_CAP))
+    for k in range(n):
+        start, stop = k * total // n, (k + 1) * total // n
+        if start < stop:
+            yield start, stop
 
 
 def _scan_range(v: PredicateVector, spec: keyspace.KeyspaceSpec,
                 algo_id: str, start: int, stop: int
                 ) -> tuple[int, int, list[tuple[bytes, bytes]]]:
-    """Hash candidates [start, stop); return (hashed, skipped, hits)."""
-    scan = hashers.scan_fn(algo_id)
-    keep = compile_filter(v)
+    """Hash candidates [start, stop) in one kernel call; return (hashed,
+    skipped, hits)."""
+    batch: list[bytes] = []
+    for prefix, suffixes, lo, hi in keyspace.iter_blocks(spec, start, stop):
+        part = suffixes[lo:hi]
+        batch += [prefix + s for s in part] if prefix else part
     hits: list[tuple[bytes, bytes]] = []
-    hashed = skipped = 0
-    for batch in _batches(spec, start, stop):
-        hashed += len(batch)
-        skipped += scan(batch, keep, hits.append)
-    return hashed, skipped, hits
+    skipped = hashers.scan_fn(algo_id)(batch, compile_filter(v), hits.append)
+    return stop - start, skipped, hits
 
 
 # the job of this pool worker process, set once by _init_worker
@@ -189,12 +175,15 @@ def _init_worker(v: PredicateVector, spec: keyspace.KeyspaceSpec,
     global _WORKER_JOB
     # A SIGTERM handler inherited from the parent (threepc-server raises
     # SystemExit from one) can leave a worker blocked in a lock wait alive
-    # through Pool.terminate(), and the job then never finishes.
+    # through Pool.terminate(), and the job then never finishes.  The
+    # parent forks with SIGTERM blocked, so one sent before this point
+    # waits for the default action.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
     _WORKER_JOB = (v, spec, algo_id)
 
 
-def _chunk_worker(rng: tuple[int, int]):
+def _range_worker(rng: tuple[int, int]):
     v, spec, algo_id = _WORKER_JOB
     return _scan_range(v, spec, algo_id, rng[0], rng[1])
 
@@ -227,24 +216,19 @@ def crack_parallel(v: PredicateVector, spec: keyspace.KeyspaceSpec,
             f"vector length {len(v)} != {algo_id} digest length "
             f"{desc.digest_nibbles}"
         )
-    chunks = [
-        (a, b) for a, b in keyspace.partition(spec, n_workers * CHUNKS_PER_WORKER)
-        if a != b
-    ]
-    total = sum(b - a for a, b in chunks)
+    total = keyspace.spec_cardinality(spec)
+    ranges = _ranges(total, n_workers)
     start_time = time.perf_counter()
     hashed = skipped = hits = 0
     last_progress = 0
 
     def consume(result: tuple[int, int, list[tuple[bytes, bytes]]]) -> None:
         nonlocal hashed, skipped, hits, last_progress
-        chunk_hashed, chunk_skipped, pairs = result
-        hashed += chunk_hashed
-        skipped += chunk_skipped
-        for i in range(0, len(pairs), FLUSH_BATCH):
-            batch = pairs[i:i + FLUSH_BATCH]
-            sink.write_batch(batch)
-            hits += len(batch)
+        range_hashed, range_skipped, pairs = result
+        hashed += range_hashed
+        skipped += range_skipped
+        sink.write_batch(pairs)
+        hits += len(pairs)
         if progress and hashed - last_progress >= PROGRESS_EVERY:
             last_progress = hashed
             elapsed = time.perf_counter() - start_time
@@ -257,16 +241,22 @@ def crack_parallel(v: PredicateVector, spec: keyspace.KeyspaceSpec,
                            hashed / max(elapsed, 1e-9), skipped, partial)
 
     try:
-        if n_workers == 1 or len(chunks) <= 1:
-            for a, b in chunks:
+        if n_workers == 1 or total < 2:
+            for a, b in ranges:
                 consume(_scan_range(v, spec, algo_id, a, b))
         else:
             # fork hands the initializer's arguments to each worker
-            # without pickling them
+            # without pickling them; SIGTERM stays blocked from the fork
+            # until _init_worker has reset its handler
             ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(n_workers, initializer=_init_worker,
-                          initargs=(v, spec, algo_id)) as pool:
-                for result in pool.imap(_chunk_worker, chunks):
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+            try:
+                pool = ctx.Pool(n_workers, initializer=_init_worker,
+                                initargs=(v, spec, algo_id))
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            with pool:
+                for result in pool.imap(_range_worker, ranges):
                     consume(result)
     except (Exception, KeyboardInterrupt) as exc:
         raise EngineAbortError(f"cracking aborted: {exc}", report(partial=True)

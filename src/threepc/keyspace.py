@@ -11,13 +11,16 @@ classes ``?l ?u ?d ?s ?a``, the hybrid word slot ``?w``, and bracket
 unions of classes such as ``[?l?u?d]`` (one position drawing from the
 combined character set).  Enumeration order is odometer order with the
 rightmost token cycling fastest; wordlists keep file order after
-deduplication.
+deduplication.  ``iter_blocks`` yields any index range as blocks of one
+prefix over a run of suffixes; a spec materializes that suffix run once,
+sized by ``_BLOCK_CAP`` as it stands at first use.
 """
 
 from __future__ import annotations
 
 import string
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from math import prod
 from pathlib import Path
@@ -42,7 +45,8 @@ _CLASS_CHARS: dict[str, bytes] = {
           + string.digits).encode() + SPECIAL_CHARS,
 }
 
-_BLOCK_CAP = 16384  # max materialized suffix-block size for enumeration
+# max candidates in one engine batch, and in a materialized suffix run
+_BLOCK_CAP = 16384
 
 
 class KeyspaceError(ValueError):
@@ -85,6 +89,40 @@ class KeyspaceSpec:
     @property
     def resolved(self) -> bool:
         return self.mode == "mask" or self.words is not None
+
+    @cached_property
+    def _layout(self) -> tuple[int, int, Sequence[bytes],
+                               Callable[[int], bytes]]:
+        """(|DS|, block size, suffix run, prefix of block i) for
+        iter_blocks.  Built on first use, under _BLOCK_CAP as it stands
+        then: the longest trailing token run whose product fits the cap is
+        materialized, or a single oversized trailing token is used as is.
+        """
+        sets = _choice_sets(self)
+        sizes = [len(s) for s in sets]
+        k = len(sets)
+        block = 1
+        while k > 0 and block * sizes[k - 1] <= _BLOCK_CAP:
+            block *= sizes[k - 1]
+            k -= 1
+        if block == 1 and k > 0:
+            k -= 1
+            block = sizes[k]
+            suffixes: Sequence[bytes] = sets[k]
+        elif k == len(sets):
+            suffixes = (b"",)
+        else:
+            suffixes = [b"".join(combo) for combo in product(*sets[k:])]
+        pre = list(zip(reversed(sizes[:k]), reversed(sets[:k])))
+
+        def prefix_for(idx: int) -> bytes:
+            frags = []
+            for size, choices in pre:
+                idx, r = divmod(idx, size)
+                frags.append(choices[r])
+            return b"".join(reversed(frags))
+
+        return prod(sizes), block, suffixes, prefix_for
 
 
 def ingest_wordlist(raw: bytes, max_len: int = MAX_CANDIDATE_LEN
@@ -242,24 +280,13 @@ def _choice_sets(spec: KeyspaceSpec) -> list[tuple[bytes, ...]]:
 
 
 def spec_cardinality(spec: KeyspaceSpec) -> int:
-    """Exact |DS|, computable before enumeration."""
-    return prod(len(s) for s in _choice_sets(spec))
+    """Exact |DS|, computable before enumeration.
 
-
-def partition(spec: KeyspaceSpec, n_parts: int) -> list[tuple[int, int]]:
-    """Split the enumeration order into n_parts contiguous index ranges
-    (disjoint, covering, sizes differing by at most one)."""
-    if n_parts < 1:
-        raise ValueError("n_parts must be >= 1")
-    total = spec_cardinality(spec)
-    base, rem = divmod(total, n_parts)
-    parts = []
-    start = 0
-    for k in range(n_parts):
-        size = base + (1 if k < rem else 0)
-        parts.append((start, start + size))
-        start += size
-    return parts
+    Read from the spec's layout, so processes forked after this call (the
+    engine's pool) inherit the layout built: none waits on
+    cached_property's lock, which another thread may hold at the fork.
+    """
+    return spec._layout[0]
 
 
 def iter_blocks(spec: KeyspaceSpec, start: int, stop: int
@@ -267,47 +294,20 @@ def iter_blocks(spec: KeyspaceSpec, start: int, stop: int
     """Yield (prefix, suffixes, lo, hi) blocks covering candidates
     [start, stop) in enumeration order; candidate = prefix + suffixes[i].
 
-    The trailing token run is materialized once so the per-candidate work
-    is a single concatenation; this is the engine's enumeration primitive.
+    The trailing token run is materialized once per spec so the
+    per-candidate work is a single concatenation; this is the engine's
+    enumeration primitive.
     """
-    sets = _choice_sets(spec)
-    sizes = [len(s) for s in sets]
-    total = prod(sizes)
+    total, block, suffixes, prefix_for = spec._layout
     if not 0 <= start <= stop <= total:
         raise ValueError(f"range [{start}, {stop}) outside [0, {total})")
-    if start == stop or total == 0:
+    if start == stop:
         return
-
-    k = len(sets)
-    block = 1
-    while k > 0 and block * sizes[k - 1] <= _BLOCK_CAP:
-        block *= sizes[k - 1]
-        k -= 1
-    if block == 1 and k > 0:
-        # single oversized trailing token: use its choices directly
-        k -= 1
-        block = sizes[k]
-        suffixes: Sequence[bytes] = sets[k]
-    elif k == len(sets):
-        suffixes = (b"",)
-    else:
-        suffixes = [b"".join(combo) for combo in product(*sets[k:])]
-
-    pre_sets = sets[:k]
-    pre_sizes = sizes[:k]
-
-    def prefix_for(idx: int) -> bytes:
-        frags = []
-        for size, choices in zip(reversed(pre_sizes), reversed(pre_sets)):
-            idx, r = divmod(idx, size)
-            frags.append(choices[r])
-        return b"".join(reversed(frags))
-
     pi = start // block
     while pi * block < stop:
         lo = start - pi * block if pi * block < start else 0
         hi = min(block, stop - pi * block)
-        yield (prefix_for(pi) if pre_sets else b""), suffixes, lo, hi
+        yield prefix_for(pi), suffixes, lo, hi
         pi += 1
 
 

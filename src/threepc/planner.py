@@ -623,6 +623,30 @@ class Plan:
                 f"the {expected!r} its vector and keyspace size give")
 
 
+def plan_for_nv(target: Digest, algo_id: str, keyspace_descriptor: str,
+                keyspace_size: int, r: float, nv_target, tolerance: float,
+                seed: int) -> Plan:
+    """Search a packing for nv_target, draw the vector from seed, and
+    derive the plan's cardinality, expected candidates and deniability
+    from that vector."""
+    found = smooth_search(nv_target, len(target), tolerance)
+    vector = gen_v(target, found.packing, random.Random(seed))
+    return Plan(
+        target_hex=target.hex,
+        algo_id=algo_id,
+        keyspace_descriptor=keyspace_descriptor,
+        keyspace_size=keyspace_size,
+        r=r,
+        nv_target=float(nv_target),
+        tolerance=tolerance,
+        seed=seed,
+        vector_hex=serialize_vector(vector),
+        cardinality=cardinality(vector),
+        expected_candidates=expected_candidates(vector, keyspace_size),
+        deniability=deniability(vector),
+    )
+
+
 def build_plan(target: Digest, algo_id: str, keyspace_descriptor: str,
                keyspace_size: int, r, tolerance: float = DEFAULT_TOLERANCE,
                seed: int | None = None) -> Plan:
@@ -630,22 +654,8 @@ def build_plan(target: Digest, algo_id: str, keyspace_descriptor: str,
     if seed is None:
         seed = random.SystemRandom().getrandbits(64)
     params = plan_nv(keyspace_size, r, len(target))
-    found = smooth_search(params.nv_target, len(target), tolerance)
-    vector = gen_v(target, found.packing, random.Random(seed))
-    return Plan(
-        target_hex=target.hex,
-        algo_id=algo_id,
-        keyspace_descriptor=keyspace_descriptor,
-        keyspace_size=keyspace_size,
-        r=float(_as_fraction(r)),
-        nv_target=params.nv_float,
-        tolerance=tolerance,
-        seed=seed,
-        vector_hex=serialize_vector(vector),
-        cardinality=found.factorization.value,
-        expected_candidates=expected_candidates(vector, keyspace_size),
-        deniability=deniability(vector),
-    )
+    return plan_for_nv(target, algo_id, keyspace_descriptor, keyspace_size,
+                       float(params.r), params.nv_target, tolerance, seed)
 
 
 class PlanStore:

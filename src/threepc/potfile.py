@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import binascii
 from pathlib import Path
-from typing import BinaryIO, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -24,13 +24,8 @@ class PotfileParseError(ValueError):
 class PotfileWriter:
     """Append-oriented sink for (password, raw-digest) pairs."""
 
-    def __init__(self, target: str | Path | BinaryIO):
-        if hasattr(target, "write"):
-            self._fh: BinaryIO = target  # type: ignore[assignment]
-            self._owns = False
-        else:
-            self._fh = open(target, "wb")
-            self._owns = True
+    def __init__(self, path: str | Path):
+        self._fh = open(path, "wb")
         self.pairs_written = 0
 
     def write_batch(self, pairs: list[tuple[bytes, bytes]]) -> None:
@@ -66,8 +61,7 @@ class PotfileWriter:
         self._fh.flush()
 
     def close(self) -> None:
-        if self._owns:
-            self._fh.close()
+        self._fh.close()
 
     def __enter__(self) -> "PotfileWriter":
         return self

@@ -6,10 +6,11 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from threepc import hashers, potfile
+from threepc import hashers, keyspace, potfile
 from threepc.cli import (
     EXIT_CONNECTION,
     EXIT_FAILURE,
@@ -101,8 +102,24 @@ class TestPlanCommand:
             "--plan-store", str(tmp_path / "p"),
         ])
         assert code == EXIT_OK
-        plan = Plan.from_text((tmp_path / "p" / f"{target}.plan").read_text())
-        assert plan.cardinality == 16 ** 26
+        text = (tmp_path / "p" / f"{target}.plan").read_text()
+        assert Plan.from_text(text).cardinality == 16 ** 26
+        assert text == (
+            "# threepc plan\n"
+            "target = 878d8014606cda29677a44efa1353fc7\n"
+            "algo = ntlm\n"
+            "keyspace = none\n"
+            "keyspace_size = 0\n"
+            "r = 0.0\n"
+            "nv_target = 2.028240960365167e+31\n"
+            "tolerance = 0.05\n"
+            "seed = 3\n"
+            "vector = 0f0f0f0f880f0f0f0f0f0f0f0f0f220f0f770f0f0f440fff0f110f"
+            "0f0f0f0f0f\n"
+            "cardinality = 20282409603651670423947251286016\n"
+            "expected_candidates = 0.0\n"
+            "deniability = 5.960464477539063e-08\n"
+        )
 
 
 def _outside(plan):
@@ -190,6 +207,8 @@ class TestRunOffline:
                                                monkeypatch):
         plan_path, corpus, _ = make_plan(tmp_path, capsys, r=400.0)
         write_batch = potfile.PotfileWriter.write_batch
+        # 2,000 candidates in 8 ranges, so the run has a batch to abort
+        monkeypatch.setattr(keyspace, "_BLOCK_CAP", 256)
 
         def fail_after_first_batch(writer, pairs):
             if writer.pairs_written:
@@ -413,3 +432,15 @@ class TestServerProcess:
             proc.terminate()
             proc.wait(timeout=10)
             proc.stdout.close()
+
+
+def test_demo_workflow_runs(tmp_path):
+    # the README's demo, from the repository root as documented
+    proc = subprocess.run(
+        [sys.executable, "scripts/demo_workflow.py"],
+        cwd=Path(__file__).resolve().parent.parent,
+        env={**os.environ, "TMPDIR": str(tmp_path)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "cracked = yes" in proc.stdout

@@ -1,6 +1,7 @@
 import random
 import signal
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -67,6 +68,10 @@ def run_in_thread(fn, timeout):
 
 def raise_system_exit(signum, frame):
     raise SystemExit(0)
+
+
+def blocked_signals():
+    return signal.pthread_sigmask(signal.SIG_BLOCK, [])
 
 
 def random_vector(rng, length):
@@ -156,26 +161,80 @@ class TestCompileFilter:
             compile_filter(PredicateVector(((0, 15),) * 3))
 
 
-class TestBatches:
-    def test_cover_range_in_order_and_fill_up_to_cap(self, monkeypatch):
+class TestScanRange:
+    def test_one_batch_is_the_range(self, monkeypatch):
+        def probe(block, keep, append):
+            calls.append(list(block))
+            return 0
+
         rng = random.Random(7)
         words = tuple(b"w%d" % i for i in range(40))
-        specs = [keyspace.make_keyspace(d, words=words) for d in (
-            "mask:?d?d?d", "mask:a?l?d", "wordlist:w", "hybrid:w:?w?d")]
+        descriptors = ("mask:?d?d?d", "mask:a?l?d", "wordlist:w",
+                       "hybrid:w:?w?d")
+        full = {d: list(keyspace.enumerate_candidates(
+            keyspace.make_keyspace(d, words=words))) for d in descriptors}
+        calls = []
+        monkeypatch.setattr(hashers, "scan_fn", lambda algo_id: probe)
         for _ in range(60):
-            spec = rng.choice(specs)
             cap = rng.choice((1, 3, 16, 45, 100, 5000))
             monkeypatch.setattr(keyspace, "_BLOCK_CAP", cap)
+            # built after the patch: a spec's layout follows the cap at
+            # its first use
+            desc = rng.choice(descriptors)
+            spec = keyspace.make_keyspace(desc, words=words)
             total = keyspace.spec_cardinality(spec)
             start = rng.randrange(total)
             stop = rng.randrange(start, total + 1)
-            batches = [list(b) for b in engine._batches(spec, start, stop)]
-            assert [pw for b in batches for pw in b] == list(
-                keyspace.enumerate_range(spec, start, stop))
-            assert all(0 < len(b) <= cap for b in batches)
-            # a batch is cut only where the next one would not fit
-            assert all(len(a) + len(b) > cap
-                       for a, b in zip(batches, batches[1:]))
+            calls.clear()
+            result = engine._scan_range(zk_vector(8), spec, "crc32",
+                                        start, stop)
+            assert result == (stop - start, 0, [])
+            assert calls == [list(keyspace.enumerate_range(spec, start, stop))]
+            assert calls[0] == full[desc][start:stop]
+
+
+class TestRanges:
+    @given(st.integers(0, 50_000), st.integers(1, 8),
+           st.integers(1, 5_000))
+    def test_cut(self, total, n_workers, cap):
+        with mock.patch.object(keyspace, "_BLOCK_CAP", cap):
+            ranges = list(engine._ranges(total, n_workers))
+        # cover [0, total) in order, with no overlap
+        bounds = [0] + [b for _, b in ranges]
+        assert ranges == list(zip(bounds, bounds[1:]))
+        assert bounds[-1] == total
+        sizes = [b - a for a, b in ranges]
+        assert all(0 < size <= cap for size in sizes)
+        assert not sizes or max(sizes) - min(sizes) <= 1
+        assert len(ranges) >= min(n_workers, total)
+
+    def test_huge_keyspace_is_cut_lazily(self):
+        spec = keyspace.make_keyspace("mask:" + "?a" * 8)
+        total = keyspace.spec_cardinality(spec)
+        ranges = engine._ranges(total, 2)
+        assert iter(ranges) is ranges
+        start, stop = next(ranges)
+        assert start == 0 and 0 < stop <= keyspace._BLOCK_CAP
+
+    @pytest.mark.parametrize("n_workers", [1, 2, 3])
+    def test_one_kernel_call_per_range(self, monkeypatch, n_workers):
+        def probe(block, keep, append):
+            append((block[0], len(block).to_bytes(4, "big")))
+            return 0
+
+        monkeypatch.setattr(keyspace, "_BLOCK_CAP", 700)
+        monkeypatch.setattr(hashers, "scan_fn", lambda algo_id: probe)
+        spec = keyspace.make_keyspace("mask:?d?d?d?d")
+        sink = ListSink()
+        report = crack_parallel(zk_vector(8), spec, "crc32", sink,
+                                n_workers=n_workers)
+        sizes = [int.from_bytes(d, "big") for _, d in sink.pairs]
+        assert len(sizes) == report.hit_count == 15  # ceil(10^4 / 700)
+        assert sum(sizes) == report.hashed_count == 10 ** 4
+        assert max(sizes) <= 700
+        # one call per range, each from its range's first candidate
+        firsts = [pw for pw, _ in sink.pairs]
+        assert firsts == [b"%04d" % a for a, _ in engine._ranges(10 ** 4, 1)]
 
 
 class TestCrack:
@@ -310,26 +369,36 @@ class TestCrackParallel:
     def test_workers_reset_sigterm_to_default(self, monkeypatch):
         def probe(block, keep, append):
             default = signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
+            unblocked = signal.SIGTERM not in blocked_signals()
             for i in keep(np.zeros((len(block), 4), dtype=np.uint8)):
-                append((block[i], bytes([default])))
+                append((block[i], bytes([default, unblocked])))
             return 0
+
+        def job():
+            # the job's own thread: its mask must be as it was before
+            before = blocked_signals()
+            crack_parallel(zk_vector(8), spec, "crc32", sink, n_workers=2)
+            return before, blocked_signals()
 
         monkeypatch.setattr(hashers, "scan_fn", lambda algo_id: probe)
         spec = keyspace.make_keyspace("mask:?d?d")
         old = signal.signal(signal.SIGTERM, raise_system_exit)
         try:
             sink = ListSink()
-            run_in_thread(lambda: crack_parallel(zk_vector(8), spec, "crc32",
-                                                 sink, n_workers=2), 30)
+            before, after = run_in_thread(job, 30)
         finally:
             signal.signal(signal.SIGTERM, old)
+        assert before == after
         assert len(sink.pairs) == 100
-        assert {d for _, d in sink.pairs} == {b"\x01"}
+        assert {d for _, d in sink.pairs} == {b"\x01\x01"}
 
     @pytest.mark.parametrize("algo_id", ["crc32", "sha256"])
     @pytest.mark.parametrize("n_workers", [1, 2, 3])
-    def test_pair_sequence_matches_oracle(self, algo_id, n_workers):
-        # 16 chunks per worker; the sink must still see them in order
+    def test_pair_sequence_matches_oracle(self, monkeypatch, algo_id,
+                                          n_workers):
+        # a small cap cuts the job into 38 ranges; the sink must still see
+        # them in order
+        monkeypatch.setattr(keyspace, "_BLOCK_CAP", 70)
         spec = keyspace.make_keyspace("mask:?l?d?d")
         nibbles = hashers.descriptor(algo_id).digest_nibbles
         v = PredicateVector(((0, 7), (2, 9)) + ((0, 15),) * (nibbles - 2))
@@ -343,7 +412,7 @@ class TestCrackParallel:
     @pytest.mark.parametrize("block_cap", [keyspace._BLOCK_CAP, 70])
     def test_ntlm_hybrid_matches_raw_fn_oracle(self, monkeypatch, n_workers,
                                                block_cap):
-        # a small block cap makes batches merge and split across blocks
+        # a small block cap makes ranges span and split blocks
         monkeypatch.setattr(keyspace, "_BLOCK_CAP", block_cap)
         words = ("café".encode(), "naïve".encode(), "Ünïcödé".encode(),
                  b"plain", "\U0001f511key".encode(), b"\xe9t\xe9",

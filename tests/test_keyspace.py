@@ -11,7 +11,6 @@ from threepc.keyspace import (
     ingest_wordlist,
     make_keyspace,
     parse_descriptor,
-    partition,
     spec_cardinality,
 )
 
@@ -129,29 +128,3 @@ class TestEnumeration:
         assert list(enumerate_range(spec, 0, 0)) == []
         with pytest.raises(ValueError):
             list(enumerate_range(spec, 0, 1001))
-
-
-class TestPartition:
-    def test_pin_partition_sizes(self):
-        spec = make_keyspace("mask:" + "?d" * 8)
-        parts = partition(spec, 8)
-        assert all(b - a == 12_500_000 for a, b in parts)
-        assert parts[0][0] == 0 and parts[-1][1] == 10 ** 8
-
-    def test_identity_partition(self):
-        spec = make_keyspace("mask:?d?d")
-        assert partition(spec, 1) == [(0, 100)]
-
-    def test_partitions_cover_disjointly(self):
-        rng = random.Random(99)
-        spec = make_keyspace("hybrid:w:?w?d",
-                             words=tuple(b"w%d" % i for i in range(17)))
-        full = list(enumerate_candidates(spec))
-        for n_parts in (1, 2, 3, 7, 170, 500):
-            parts = partition(spec, n_parts)
-            union = []
-            for a, b in parts:
-                union.extend(enumerate_range(spec, a, b))
-            assert union == full
-        with pytest.raises(ValueError):
-            partition(spec, 0)
