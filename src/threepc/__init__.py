@@ -34,7 +34,6 @@ from .predicate import (
     parse_vector,
     serialize_vector,
     singleton_vector,
-    to_hit_mask,
     zk_vector,
 )
 from .verifier import VerificationVerdict, chk_cs, proof_of_work, spot_check, verify

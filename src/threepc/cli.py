@@ -54,6 +54,18 @@ def _resolve_spec(args, descriptor: str) -> keyspace.KeyspaceSpec:
     return keyspace.make_keyspace(descriptor, provider)
 
 
+def _below_minimum(args, **minimums: int) -> bool:
+    """Report the first flag whose value is below its minimum."""
+    for name, least in minimums.items():
+        value = getattr(args, name)
+        if value < least:
+            flag = "--" + name.replace("_", "-")
+            print(f"error: {flag} must be at least {least}, got {value}",
+                  file=sys.stderr)
+            return True
+    return False
+
+
 def _pick_seed(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -128,6 +140,8 @@ def _write_run_report(out: Path, plan_path: str, report: engine.CrackReport,
 
 
 def cmd_run(args) -> int:
+    if _below_minimum(args, workers=1):
+        return EXIT_PARSE
     try:
         plan = planner.Plan.from_text(Path(args.plan).read_text())
         vector = parse_vector(plan.vector_hex)
@@ -294,11 +308,14 @@ def server_main(argv=None) -> int:
     parser.add_argument("--corpus-dir", default=None)
     parser.add_argument("--workers", type=int, default=1,
                         help="engine worker processes per job")
-    parser.add_argument("--rate-budget", type=int, default=100_000,
+    parser.add_argument("--rate-budget", type=int,
+                        default=hashers.MIN_RATE_BUDGET,
                         help="hashes per rate measurement")
     parser.add_argument("--max-frame-mib", type=int, default=64)
     args = parser.parse_args(argv)
-
+    if _below_minimum(args, workers=1, rate_budget=hashers.MIN_RATE_BUDGET,
+                      max_frame_mib=1):
+        return EXIT_PARSE
     try:
         endpoint = protocol.parse_endpoint(args.listen)
     except ValueError as exc:

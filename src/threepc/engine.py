@@ -5,12 +5,13 @@ One batch is the unit of work.  ``crack_parallel`` cuts the keyspace into
 max(n_workers, ceil(|DS| / keyspace._BLOCK_CAP)) contiguous index ranges
 whose sizes differ by at most one, made as they are used (``_ranges``).
 Each range is one candidate list, one call of the algorithm's block
-kernel (``hashers.scan_fn``) and one ``sink.write_batch`` of its hits, so
+kernel (``hashers.block_fn``) and one ``sink.write_batch`` of its hits, so
 a kernel's working memory and the hits held in the serial path stay
-within one batch.  The kernel hashes the batch into a digest matrix, one
-row per candidate, and hands it to the predicate filter, which runs once
-per batch as numpy table lookups; the kernel then reports how many
-candidates it could not hash (NTLM skips those that are not UTF-8).
+within one batch.  The kernel only hashes: it returns the batch's digest
+matrix, one row per hashed candidate, and the block indices of its rows
+when it skipped some (NTLM skips candidates that are not UTF-8).
+``_scan_range`` alone applies the predicate filter, once per batch as
+numpy table lookups, and pairs each kept row with its password.
 
 The predicate is compiled to per-byte lookup tables (``_byte_tables``),
 ordered most restrictive first.  ``compile_filter`` looks the first one
@@ -24,7 +25,7 @@ receives its job through its worker initializer, so concurrent jobs in
 one process stay apart.
 
 The sink receives pairs in keyspace enumeration order at any worker
-count: kernels append hits in block order and ranges are consumed in
+count: kernels return rows in block order and ranges are consumed in
 index order, so a sink can stream its output byte-reproducibly.
 """
 
@@ -115,7 +116,8 @@ def compile_checker(v: PredicateVector) -> Callable[[bytes], bool]:
     return check
 
 
-def compile_filter(v: PredicateVector) -> hashers.Keep:
+def compile_filter(v: PredicateVector
+                   ) -> Callable[[np.ndarray], np.ndarray]:
     """The predicate over a block: ``keep(m)`` takes an (n, digest bytes)
     uint8 matrix and returns the ascending indices of the rows that
     satisfy v.
@@ -155,15 +157,19 @@ def _ranges(total: int, n_workers: int) -> Iterator[tuple[int, int]]:
 def _scan_range(v: PredicateVector, spec: keyspace.KeyspaceSpec,
                 algo_id: str, start: int, stop: int
                 ) -> tuple[int, int, list[tuple[bytes, bytes]]]:
-    """Hash candidates [start, stop) in one kernel call; return (hashed,
-    skipped, hits)."""
+    """Hash candidates [start, stop) in one kernel call and filter the
+    digest matrix once; return (hashed, skipped, hits in block order)."""
     batch: list[bytes] = []
     for prefix, suffixes, lo, hi in keyspace.iter_blocks(spec, start, stop):
         part = suffixes[lo:hi]
         batch += [prefix + s for s in part] if prefix else part
-    hits: list[tuple[bytes, bytes]] = []
-    skipped = hashers.scan_fn(algo_id)(batch, compile_filter(v), hits.append)
-    return stop - start, skipped, hits
+    m, hashed = hashers.block_fn(algo_id)(batch)
+    rows = compile_filter(v)(m)
+    digests = m[rows].view(f"V{m.shape[1]}").ravel().tolist()
+    if hashed is not None:
+        rows = hashed[rows]
+    hits = [(batch[i], d) for i, d in zip(rows.tolist(), digests)]
+    return stop - start, len(batch) - len(m), hits
 
 
 # the job of this pool worker process, set once by _init_worker

@@ -1,13 +1,13 @@
 """Pluggable one-way hash backends producing digests from passwords.
 
 Each algorithm has two entry points.  ``raw_fn`` hashes one password and
-serves single digests (client, verifier, tests).  ``scan_fn`` is the
-engine's block kernel: ``scan(block, keep, append) -> skipped`` hashes a
-list of candidates into an (n, digest bytes) uint8 matrix, calls the
-predicate filter ``keep`` once on it (it returns the ascending indices of
-the rows to keep), calls ``append((password, digest))`` for each kept
-row, in block order, and returns how many candidates it could not hash.
-Digest ``bytes`` objects are made for hits only.
+serves single digests (client, verifier, tests).  ``block_fn`` is the
+engine's block kernel: ``block_fn(algo)(block) -> (digests, hashed)``
+hashes a list of candidates into an (n_hashed, digest bytes) uint8
+matrix, in block order.  ``hashed`` holds the ascending block indices of
+its rows, or is None when every candidate was hashed; only ntlm skips
+candidates (those that are not UTF-8).  Kernels only hash: the engine
+applies the predicate to the matrix.
 """
 
 from __future__ import annotations
@@ -58,46 +58,21 @@ def _ntlm_raw(password: bytes) -> bytes:
     return md4(text.encode("utf-16-le"))
 
 
-Keep = Callable[[np.ndarray], np.ndarray]
-Append = Callable[[tuple[bytes, bytes]], None]
-ScanFn = Callable[[Sequence[bytes], Keep, Append], int]
+# block -> (digest matrix, block indices of its rows or None)
+BlockFn = Callable[[Sequence[bytes]], tuple[np.ndarray, np.ndarray | None]]
 
 
-def _append_hits(block: Sequence[bytes], rows: np.ndarray,
-                 digests: np.ndarray, append: Append) -> None:
-    """append((block[i], digest)) for each hit row i, where digests holds
-    the hits' rows of the digest matrix."""
-    raw = digests.view(f"V{digests.shape[1]}").ravel().tolist()
-    for i, d in zip(rows.tolist(), raw):
-        append((block[i], d))
-
-
-def _matrix_scan(hash_block: Callable[[Sequence[bytes]], np.ndarray]
-                 ) -> ScanFn:
-    """A kernel for hashes that never skip a candidate: hash_block turns a
-    block into its digest matrix."""
-    def scan(block: Sequence[bytes], keep: Keep, append: Append) -> int:
-        m = hash_block(block)
-        rows = keep(m)
-        _append_hits(block, rows, m[rows], append)
-        return 0
-    return scan
-
-
-def _rows(joined: bytes, width: int) -> np.ndarray:
-    return np.frombuffer(joined, dtype=np.uint8).reshape(-1, width)
-
-
-def _crc32_block(block: Sequence[bytes]) -> np.ndarray:
+def _crc32_block(block: Sequence[bytes]) -> tuple[np.ndarray, None]:
     crcs = np.fromiter(map(zlib.crc32, block), dtype=">u4", count=len(block))
-    return crcs.view(np.uint8).reshape(-1, 4)
+    return crcs.view(np.uint8).reshape(-1, 4), None
 
 
-def _sha256_block(block: Sequence[bytes]) -> np.ndarray:
+def _sha256_block(block: Sequence[bytes]) -> tuple[np.ndarray, None]:
     # inline rather than through _sha256_raw: a Python call per candidate
     # costs several percent of the hash
     sha256 = hashlib.sha256
-    return _rows(b"".join([sha256(pw).digest() for pw in block]), 32)
+    joined = b"".join([sha256(pw).digest() for pw in block])
+    return np.frombuffer(joined, dtype=np.uint8).reshape(-1, 32), None
 
 
 # str.encode("utf-16-le") looks the codec up by name on every call, which
@@ -105,59 +80,46 @@ def _sha256_block(block: Sequence[bytes]) -> np.ndarray:
 _utf16le = codecs.utf_16_le_encode
 
 
-def _ntlm_scan(block: Sequence[bytes], keep: Keep, append: Append) -> int:
-    """Skip candidates that are not UTF-8, then run MD4 column-wise and the
-    filter over each group of equal UTF-16LE length; hits go out in block
-    order."""
+def _ntlm_block(block: Sequence[bytes]
+                ) -> tuple[np.ndarray, np.ndarray | None]:
+    """Skip candidates that are not UTF-8, run MD4 column-wise over each
+    group of equal UTF-16LE length, and scatter each group's digests to
+    its rows of the block-ordered matrix."""
     groups: defaultdict[int, tuple[list[int], list[bytes]]] = defaultdict(
         lambda: ([], []))
-    skipped = 0
+    skipped: list[int] = []
     for i, pw in enumerate(block):
         try:
             msg = _utf16le(pw.decode("utf-8"))[0]
         except UnicodeDecodeError:
-            skipped += 1
+            skipped.append(i)
             continue
-        indices, msgs = groups[len(msg)]
-        indices.append(i)
+        rows, msgs = groups[len(msg)]
+        rows.append(i - len(skipped))
         msgs.append(msg)
-    if not groups:
-        return skipped
-    rows: list[np.ndarray] = []
-    digests: list[np.ndarray] = []
-    for length, (indices, msgs) in groups.items():
-        m = md4_batch(msgs, length)
-        kept = keep(m)
-        rows.append(np.take(indices, kept))
-        digests.append(m[kept])
-    hit_rows = np.concatenate(rows)
-    order = hit_rows.argsort()  # block indices are distinct
-    _append_hits(block, hit_rows[order], np.concatenate(digests)[order],
-                 append)
-    return skipped
+    m = np.empty((len(block) - len(skipped), 16), dtype=np.uint8)
+    for length, (rows, msgs) in groups.items():
+        m[rows] = md4_batch(msgs, length)
+    return m, np.delete(np.arange(len(block)), skipped) if skipped else None
 
 
 _REGISTRY: dict[str, tuple[HashAlgoDescriptor, Callable[[bytes], bytes],
-                           ScanFn]] = {}
+                           BlockFn]] = {}
 _MEASURED_RATES: dict[str, float] = {}
+# the fewest hashes a rate measurement may time
+MIN_RATE_BUDGET = 100_000
 
 
 def register_algo(algo_id: str, digest_nibbles: int,
-                  raw_fn: Callable[[bytes], bytes],
-                  scan: ScanFn | None = None) -> None:
-    """Register a backend; without a block kernel the engine joins the
-    raw_fn digests of a block into its digest matrix."""
-    if scan is None:
-        width = digest_nibbles // 2
-        scan = _matrix_scan(
-            lambda block: _rows(b"".join([raw_fn(pw) for pw in block]), width))
+                  raw_fn: Callable[[bytes], bytes], kernel: BlockFn) -> None:
+    """Register a backend: its one-password function and its block kernel."""
     _REGISTRY[algo_id] = (HashAlgoDescriptor(algo_id, digest_nibbles), raw_fn,
-                          scan)
+                          kernel)
 
 
-register_algo("crc32", 8, _crc32_raw, _matrix_scan(_crc32_block))
-register_algo("ntlm", 32, _ntlm_raw, _ntlm_scan)
-register_algo("sha256", 64, _sha256_raw, _matrix_scan(_sha256_block))
+register_algo("crc32", 8, _crc32_raw, _crc32_block)
+register_algo("ntlm", 32, _ntlm_raw, _ntlm_block)
+register_algo("sha256", 64, _sha256_raw, _sha256_block)
 
 
 def known_algos() -> tuple[str, ...]:
@@ -179,10 +141,9 @@ def raw_fn(algo_id: str) -> Callable[[bytes], bytes]:
         raise UnknownAlgoError(algo_id) from None
 
 
-def scan_fn(algo_id: str) -> ScanFn:
-    """The block kernel ``scan(block, keep, append) -> skipped``; the
-    engine's hot path.  Hits are appended in block order, so the engine's
-    output follows keyspace enumeration order."""
+def block_fn(algo_id: str) -> BlockFn:
+    """The block kernel ``block_fn(algo)(block) -> (digests, hashed)``;
+    the engine's hot path."""
     try:
         return _REGISTRY[algo_id][2]
     except KeyError:
@@ -211,28 +172,23 @@ def parse_digest_hex(algo_id: str, text: str) -> Digest:
     return d
 
 
-def _keep_none(m: np.ndarray) -> np.ndarray:
-    return np.empty(0, dtype=np.intp)
-
-
-def measure_rate(algo_id: str, sample_budget: int = 100_000,
+def measure_rate(algo_id: str, sample_budget: int = MIN_RATE_BUDGET,
                  refresh: bool = False) -> float:
     """Wall-clock throughput of the algorithm's block kernel over
-    synthetic inputs, with a filter that rejects every row (hashes/second).
+    synthetic inputs (hashes/second).
 
     Results are cached per algorithm; pass refresh=True to re-measure.
     """
-    if sample_budget < 100_000:
+    if sample_budget < MIN_RATE_BUDGET:
         raise ValueError("sample_budget must be at least 10^5 hashes")
     if not refresh and algo_id in _MEASURED_RATES:
         return _MEASURED_RATES[algo_id]
-    scan = scan_fn(algo_id)
+    kernel = block_fn(algo_id)
     samples = [b"rate-sample-%012d" % i for i in range(10_000)]
     rounds = (sample_budget + len(samples) - 1) // len(samples)
-    hits: list[tuple[bytes, bytes]] = []
     start = time.perf_counter()
     for _ in range(rounds):
-        scan(samples, _keep_none, hits.append)
+        kernel(samples)
     elapsed = time.perf_counter() - start
     rate = (rounds * len(samples)) / max(elapsed, 1e-9)
     _MEASURED_RATES[algo_id] = rate

@@ -11,17 +11,12 @@ large the box is, and the box size is the product of the range widths.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 SMOOTH_PRIMES = (2, 3, 5, 7, 11, 13)
 
 
 class LengthMismatchError(ValueError):
     """Vector and digest lengths disagree."""
-
-
-class HitMaskUnsupportedError(ValueError):
-    """Vector is not expressible at byte granularity."""
 
 
 @dataclass(frozen=True)
@@ -147,11 +142,6 @@ def parse_vector(text: str) -> PredicateVector:
     return PredicateVector(bounds)
 
 
-def _mask_hex_width(length: int) -> int:
-    # l/2 mask bits rendered as hex, 4 bits per char
-    return (length // 2 + 3) // 4
-
-
 def from_hit_mask(target: Digest, mask_hex: str) -> PredicateVector:
     """Byte-granular vector: mask bit n (from the right) pins digest byte n
     (from the right) to the target's value; unpinned bytes are full-range."""
@@ -159,10 +149,10 @@ def from_hit_mask(target: Digest, mask_hex: str) -> PredicateVector:
     if length % 2 != 0:
         raise LengthMismatchError("digest length must be even for byte masks")
     n_bytes = length // 2
-    if len(mask_hex) != _mask_hex_width(length):
+    width = (n_bytes + 3) // 4  # l/2 mask bits, 4 per hex char
+    if len(mask_hex) != width:
         raise LengthMismatchError(
-            f"mask must be {_mask_hex_width(length)} hex chars for l={length}"
-        )
+            f"mask must be {width} hex chars for l={length}")
     mask = int(mask_hex, 16)
     if mask >> n_bytes:
         raise ValueError("mask has bits beyond the digest width")
@@ -178,53 +168,3 @@ def from_hit_mask(target: Digest, mask_hex: str) -> PredicateVector:
             bounds.append((0, 15))
             bounds.append((0, 15))
     return PredicateVector(tuple(bounds))
-
-
-def to_hit_mask(v: PredicateVector) -> tuple[str, str]:
-    """Express v as (masked-digest-hex, mask-hex) if byte-granular.
-
-    Every pair must be singleton or full-range and agree within each
-    byte; free bytes render as 00 in the digest template.
-    """
-    length = len(v)
-    if length % 2 != 0:
-        raise HitMaskUnsupportedError("odd nibble count has no byte mask")
-    digits = "0123456789abcdef"
-    mask = 0
-    out = []
-    n_bytes = length // 2
-    for j in range(n_bytes):
-        pair = v.bounds[2 * j], v.bounds[2 * j + 1]
-        kinds = [
-            "single" if lo == hi else "full" if (lo, hi) == (0, 15) else "other"
-            for lo, hi in pair
-        ]
-        if kinds == ["single", "single"]:
-            mask |= 1 << (n_bytes - 1 - j)
-            out.append(digits[pair[0][0]] + digits[pair[1][0]])
-        elif kinds == ["full", "full"]:
-            out.append("00")
-        else:
-            raise HitMaskUnsupportedError(
-                f"byte {j + 1}: ranges {pair} are neither singleton nor full"
-            )
-    mask_hex = format(mask, f"0{_mask_hex_width(length)}x")
-    return "".join(out), mask_hex
-
-
-def enumerate_decoys(v: PredicateVector) -> Iterable[Digest]:
-    """Yield every digest in the decoy set (use only for tiny vectors)."""
-
-    def rec(i: int, acc: list[int]):
-        if i == len(v):
-            yield Digest(tuple(acc))
-            return
-        lo, hi = v.bounds[i]
-        for n in range(lo, hi + 1):
-            acc.append(n)
-            yield from rec(i + 1, acc)
-            acc.pop()
-
-    if cardinality(v) == 0:
-        return
-    yield from rec(0, [])

@@ -3,8 +3,14 @@
 `verifier.spot_check` and `potfile.count_records`, and its
 `verify_layers` times the last three as direct children of the first;
 its `crack_layers` and `constant_time_layers` call `hashers.raw_fn` and
-`engine.compile_checker`.  These tests run that file, unedited, on tiny
-inputs, so a rename fails here rather than in a traced run."""
+`engine.compile_checker`; its `candidate_path_layers` writes
+`(password, digest)` tuples through `PotfileWriter.write_batch`, reads
+them back with `potfile.iter_potfile` and round-trips them as
+`protocol.CandidateChunk` frames through `encode_message` and
+`decode_payload`; its `parallel_eff` runs `engine.crack_parallel` into an
+`engine.ListSink` at one and two workers.  These tests run that file,
+unedited, on tiny inputs, so a rename or a changed signature fails here
+rather than in a traced run."""
 
 import importlib.util
 import numbers
@@ -70,3 +76,28 @@ def test_constant_time_layers_are_numbers():
     for key, value in layers.items():
         assert isinstance(value, numbers.Real) and value > 0, key
 
+
+def test_candidate_path_layers_are_numbers(tmp_path):
+    pot = tmp_path / "out.pot"
+    passwords = [b"w%04d" % i for i in range(300)]
+    with PotfileWriter(pot) as writer:
+        writer.write_batch([(pw, hashers.raw_digest("crc32", pw))
+                            for pw in passwords])
+    layers = load_program().candidate_path_layers(pot)
+    assert set(layers) == {"potfile.write_rate", "potfile.parse_rate",
+                           "protocol.encode_rate", "protocol.decode_rate"}
+    for key, value in layers.items():
+        assert isinstance(value, numbers.Real) and value > 0, key
+    # the pairs it parsed, written back, are the same file
+    assert pot.with_suffix(".rewrite").read_bytes() == pot.read_bytes()
+
+
+@pytest.mark.parametrize("algo", ["crc32", "ntlm"])
+def test_parallel_eff_is_a_number(algo):
+    nibbles = hashers.descriptor(algo).digest_nibbles
+    cfg = {"algo": algo, "parallel_slice": {"keyspace": "mask:?d?d?d"}}
+    layers = load_program().parallel_eff(cfg,
+                                         serialize_vector(zk_vector(nibbles)))
+    assert set(layers) == {"engine.parallel_eff"}
+    value = layers["engine.parallel_eff"]
+    assert isinstance(value, numbers.Real) and value > 0

@@ -269,6 +269,17 @@ class TestRunOffline:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_zero_workers_is_parse_error(self, tmp_path, capsys):
+        plan_path, corpus, _ = make_plan(tmp_path, capsys)
+        out = tmp_path / "x.pot"
+        assert client_main([
+            "run", "--plan", str(plan_path), "--out", str(out), "--offline",
+            "--corpus-file", str(corpus), "--workers", "0",
+        ]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err == "error: --workers must be at least 1, got 0\n"
+        assert not out.exists()
+
     def test_connection_refused(self, tmp_path, capsys):
         plan_path, _, _ = make_plan(tmp_path, capsys)
         assert client_main([
@@ -338,6 +349,25 @@ def test_server_bind_failure_exits_one(tmp_path):
         holder.listen(1)
         taken = holder.getsockname()[1]
         assert server_main(["--listen", f"127.0.0.1:{taken}"]) == EXIT_FAILURE
+
+
+@pytest.mark.parametrize("flag,value,least", [
+    ("--workers", "0", 1),
+    ("--rate-budget", "10", 100_000),
+    ("--max-frame-mib", "0", 1),
+])
+def test_server_flag_below_minimum_exits_two(capsys, monkeypatch, flag, value,
+                                            least):
+    from threepc import protocol
+    from threepc.cli import server_main
+
+    def refuse_to_bind(*args, **kwargs):
+        raise AssertionError("the server must not bind")
+
+    monkeypatch.setattr(protocol, "CrackServer", refuse_to_bind)
+    assert server_main(["--listen", "127.0.0.1:0", flag, value]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err == f"error: {flag} must be at least {least}, got {value}\n"
 
 
 @pytest.mark.usefixtures("tmp_path")

@@ -163,9 +163,9 @@ class TestCompileFilter:
 
 class TestScanRange:
     def test_one_batch_is_the_range(self, monkeypatch):
-        def probe(block, keep, append):
+        def probe(block):
             calls.append(list(block))
-            return 0
+            return np.zeros((len(block), 4), dtype=np.uint8), None
 
         rng = random.Random(7)
         words = tuple(b"w%d" % i for i in range(40))
@@ -174,7 +174,7 @@ class TestScanRange:
         full = {d: list(keyspace.enumerate_candidates(
             keyspace.make_keyspace(d, words=words))) for d in descriptors}
         calls = []
-        monkeypatch.setattr(hashers, "scan_fn", lambda algo_id: probe)
+        monkeypatch.setattr(hashers, "block_fn", lambda algo_id: probe)
         for _ in range(60):
             cap = rng.choice((1, 3, 16, 45, 100, 5000))
             monkeypatch.setattr(keyspace, "_BLOCK_CAP", cap)
@@ -188,9 +188,10 @@ class TestScanRange:
             calls.clear()
             result = engine._scan_range(zk_vector(8), spec, "crc32",
                                         start, stop)
-            assert result == (stop - start, 0, [])
             assert calls == [list(keyspace.enumerate_range(spec, start, stop))]
             assert calls[0] == full[desc][start:stop]
+            assert result == (stop - start, 0,
+                              [(pw, bytes(4)) for pw in calls[0]])
 
 
 class TestRanges:
@@ -218,12 +219,13 @@ class TestRanges:
 
     @pytest.mark.parametrize("n_workers", [1, 2, 3])
     def test_one_kernel_call_per_range(self, monkeypatch, n_workers):
-        def probe(block, keep, append):
-            append((block[0], len(block).to_bytes(4, "big")))
-            return 0
+        def probe(block):
+            # one row, for the first candidate: the block's size
+            row = np.frombuffer(len(block).to_bytes(4, "big"), np.uint8)
+            return row.reshape(1, 4), np.array([0])
 
         monkeypatch.setattr(keyspace, "_BLOCK_CAP", 700)
-        monkeypatch.setattr(hashers, "scan_fn", lambda algo_id: probe)
+        monkeypatch.setattr(hashers, "block_fn", lambda algo_id: probe)
         spec = keyspace.make_keyspace("mask:?d?d?d?d")
         sink = ListSink()
         report = crack_parallel(zk_vector(8), spec, "crc32", sink,
@@ -367,12 +369,11 @@ class TestCrackParallel:
             signal.signal(signal.SIGTERM, old)
 
     def test_workers_reset_sigterm_to_default(self, monkeypatch):
-        def probe(block, keep, append):
+        def probe(block):
             default = signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
             unblocked = signal.SIGTERM not in blocked_signals()
-            for i in keep(np.zeros((len(block), 4), dtype=np.uint8)):
-                append((block[i], bytes([default, unblocked])))
-            return 0
+            row = [default, unblocked, 0, 0]
+            return np.array([row] * len(block), dtype=np.uint8), None
 
         def job():
             # the job's own thread: its mask must be as it was before
@@ -380,7 +381,7 @@ class TestCrackParallel:
             crack_parallel(zk_vector(8), spec, "crc32", sink, n_workers=2)
             return before, blocked_signals()
 
-        monkeypatch.setattr(hashers, "scan_fn", lambda algo_id: probe)
+        monkeypatch.setattr(hashers, "block_fn", lambda algo_id: probe)
         spec = keyspace.make_keyspace("mask:?d?d")
         old = signal.signal(signal.SIGTERM, raise_system_exit)
         try:
@@ -390,7 +391,7 @@ class TestCrackParallel:
             signal.signal(signal.SIGTERM, old)
         assert before == after
         assert len(sink.pairs) == 100
-        assert {d for _, d in sink.pairs} == {b"\x01\x01"}
+        assert {d for _, d in sink.pairs} == {b"\x01\x01\x00\x00"}
 
     @pytest.mark.parametrize("algo_id", ["crc32", "sha256"])
     @pytest.mark.parametrize("n_workers", [1, 2, 3])

@@ -1,15 +1,13 @@
-import hashlib
 import random
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from threepc import hashers
+from threepc import engine, hashers, keyspace
 from threepc._md4 import md4, md4_batch
-from threepc.engine import compile_filter
 from threepc.hashers import CandidateEncodingError, UnknownAlgoError
 from threepc.predicate import Digest, PredicateVector, eval_predicate, zk_vector
 
@@ -125,28 +123,39 @@ _candidate = st.one_of(
 
 
 def ntlm_oracle(block):
-    hits, skipped = [], 0
-    for pw in block:
+    """(block index, MD4 of the UTF-16LE form) for each UTF-8 candidate."""
+    rows = []
+    for i, pw in enumerate(block):
         try:
             text = pw.decode("utf-8")
         except UnicodeDecodeError:
-            skipped += 1
             continue
-        hits.append((pw, md4(text.encode("utf-16-le"))))
-    return hits, skipped
+        rows.append((i, md4(text.encode("utf-16-le"))))
+    return rows
 
 
-def keep_all(m):
-    return np.arange(len(m))
+def kernel_rows(algo, block):
+    """Run the block kernel and check its contract: a uint8 matrix of
+    whole digests, and ascending block indices of its rows, None only
+    when every candidate was hashed.  Returns (block index, digest) per
+    row."""
+    m, hashed = hashers.block_fn(algo)(block)
+    width = hashers.descriptor(algo).digest_nibbles // 2
+    assert m.dtype == np.uint8 and m.shape == (len(m), width)
+    if hashed is None:
+        hashed = range(len(block))
+    else:
+        hashed = hashed.tolist()
+        assert hashed == sorted(set(hashed)) and len(hashed) < len(block)
+    assert len(hashed) == len(m)
+    return [(i, row.tobytes()) for i, row in zip(hashed, m)]
 
 
 class TestNtlmKernel:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_candidate, max_size=40))
     def test_matches_md4_oracle(self, block):
-        hits = []
-        skipped = hashers.scan_fn("ntlm")(block, keep_all, hits.append)
-        assert (hits, skipped) == ntlm_oracle(block)
+        assert kernel_rows("ntlm", block) == ntlm_oracle(block)
 
 
 @st.composite
@@ -161,64 +170,63 @@ def vectors(draw, nibbles):
     return PredicateVector(tuple(bounds))
 
 
+def raw_rows(algo, block):
+    """(block index, raw_fn digest) for each candidate raw_fn can hash."""
+    raw = hashers.raw_fn(algo)
+    rows = []
+    for i, pw in enumerate(block):
+        try:
+            rows.append((i, raw(pw)))
+        except CandidateEncodingError:
+            continue
+    return rows
+
+
 def kernel_oracle(algo, v, block):
     """Hash one candidate at a time with raw_fn and filter with the pure
     predicate: (hits in block order, skipped)."""
-    raw = hashers.raw_fn(algo)
-    hits, skipped = [], 0
-    for pw in block:
-        try:
-            d = raw(pw)
-        except CandidateEncodingError:
-            skipped += 1
-            continue
-        if eval_predicate(v, Digest.from_bytes(d)):
-            hits.append((pw, d))
+    rows = raw_rows(algo, block)
+    hits = [(block[i], d) for i, d in rows
+            if eval_predicate(v, Digest.from_bytes(d))]
+    return hits, len(block) - len(rows)
+
+
+def scan_block(algo, v, block):
+    """The engine's scan of one range holding exactly this block."""
+    spec = keyspace.make_keyspace("wordlist:w", words=block)
+    hashed, skipped, hits = engine._scan_range(v, spec, algo, 0, len(block))
+    assert hashed == len(block)
     return hits, skipped
 
 
-@pytest.fixture
-def md5_default_kernel(monkeypatch):
-    """An algorithm registered without a block kernel."""
-    monkeypatch.setattr(hashers, "_REGISTRY", dict(hashers._REGISTRY))
-    hashers.register_algo("md5-test", 32,
-                          lambda pw: hashlib.md5(pw).digest())
-    return "md5-test"
-
-
 class TestKernels:
-    @pytest.mark.parametrize("algo", ["crc32", "sha256", "ntlm", "default"])
-    # the fixture only registers an algorithm, which every example reads
-    @settings(max_examples=60, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @pytest.mark.parametrize("algo", ["crc32", "sha256", "ntlm"])
+    @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_hits_match_raw_fn_oracle(self, algo, md5_default_kernel, data):
-        if algo == "default":
-            algo = md5_default_kernel
+    def test_hits_match_raw_fn_oracle(self, algo, data):
         nibbles = hashers.descriptor(algo).digest_nibbles
         v = data.draw(vectors(nibbles))
         block = data.draw(st.lists(
             _candidate if algo == "ntlm" else st.binary(max_size=20),
             max_size=60))
-        hits = []
-        skipped = hashers.scan_fn(algo)(block, compile_filter(v), hits.append)
-        assert (hits, skipped) == kernel_oracle(algo, v, block)
+        assert kernel_rows(algo, block) == raw_rows(algo, block)
+        assert scan_block(algo, v, block) == kernel_oracle(algo, v, block)
 
     def test_ntlm_block_with_length_groups_and_invalid_utf8(self):
-        # interleaved UTF-16LE lengths and rows that are not UTF-8, so hits
-        # from several length groups merge back in block order
+        # interleaved UTF-16LE lengths and rows that are not UTF-8, so rows
+        # from several length groups scatter back into block order
         words = [b"a", b"\xff", "é".encode(), b"ab", b"\xc3", b"abc",
                  "\U0001f511".encode(), b"\xed\xa0\x80", b"abcd", b"x"]
         block = [words[i % len(words)] + b"%d" % (i % 7) for i in range(200)]
         valid, _ = kernel_oracle("ntlm", zk_vector(32), block)
         assert len({len(pw.decode("utf-8").encode("utf-16-le"))
                     for pw, _ in valid}) >= 4
+        rows = kernel_rows("ntlm", block)
+        assert rows == raw_rows("ntlm", block) and len(rows) == 140
         for v in (zk_vector(32),
                   PredicateVector(((0, 7), (0, 15)) + ((0, 15),) * 30),
                   PredicateVector(((0, 3), (4, 15)) + ((0, 15),) * 30)):
-            hits = []
-            skipped = hashers.scan_fn("ntlm")(block, compile_filter(v),
-                                              hits.append)
+            hits, skipped = scan_block("ntlm", v, block)
             assert (hits, skipped) == kernel_oracle("ntlm", v, block)
             assert skipped == 60
             assert hits

@@ -7,18 +7,15 @@ from hypothesis import strategies as st
 
 from threepc.predicate import (
     Digest,
-    HitMaskUnsupportedError,
     LengthMismatchError,
     PredicateVector,
     cardinality,
-    enumerate_decoys,
     eval_predicate,
     from_hit_mask,
     is_13_smooth,
     parse_vector,
     serialize_vector,
     singleton_vector,
-    to_hit_mask,
     zk_vector,
 )
 
@@ -31,6 +28,26 @@ def brute_force_count(v: PredicateVector) -> int:
         1 for nibbles in product(range(16), repeat=len(v))
         if eval_predicate(v, Digest(nibbles))
     )
+
+
+def enumerate_decoys(v: PredicateVector) -> list[Digest]:
+    """The decoy set as the product of the ranges (empty if one is)."""
+    return [Digest(n) for n in
+            product(*(range(lo, hi + 1) for lo, hi in v.bounds))]
+
+
+def read_mask(v: PredicateVector) -> tuple[str, str]:
+    """(masked-digest hex, mask hex) read off a byte-granular vector's
+    bounds: a byte with both nibbles pinned sets its mask bit and shows
+    its value, a fully free byte shows 00; any other byte fails."""
+    masked, bits = "", ""
+    for hi, lo in zip(v.bounds[::2], v.bounds[1::2]):
+        if hi == lo == (0, 15):
+            masked, bits = masked + "00", bits + "0"
+        else:
+            assert hi[0] == hi[1] and lo[0] == lo[1], (hi, lo)
+            masked, bits = masked + f"{hi[0]:x}{lo[0]:x}", bits + "1"
+    return masked, format(int(bits, 2), f"0{(len(bits) + 3) // 4}x")
 
 
 def random_vector(rng: random.Random, length: int) -> PredicateVector:
@@ -90,7 +107,7 @@ class TestCardinality:
     def test_degenerate_range_is_zero(self):
         v = PredicateVector(((3, 2), (0, 15)))
         assert cardinality(v) == 0
-        assert list(enumerate_decoys(v)) == []
+        assert enumerate_decoys(v) == []
 
     def test_oracle_equivalence_small_lengths(self):
         rng = random.Random(0xC0DE)
@@ -107,9 +124,12 @@ class TestCardinality:
         rng = random.Random(7)
         for _ in range(20):
             v = random_vector(rng, 3)
-            decoys = list(enumerate_decoys(v))
+            decoys = enumerate_decoys(v)
             assert len(decoys) == cardinality(v)
-            assert all(eval_predicate(v, d) for d in decoys)
+            # exactly the members of the whole 16^3 digest space
+            assert set(decoys) == {
+                Digest(n) for n in product(range(16), repeat=3)
+                if eval_predicate(v, Digest(n))}
 
 
 class TestZkVector:
@@ -174,7 +194,7 @@ class TestHitMask:
     def test_case_study_mask_round_trip(self):
         target = Digest.from_hex(fixtures.NTLM_TARGET_HEX)
         v = from_hit_mask(target, fixtures.NTLM_HIT_MASK)
-        masked, mask = to_hit_mask(v)
+        masked, mask = read_mask(v)
         assert masked == fixtures.NTLM_MASKED_HEX
         assert mask == fixtures.NTLM_HIT_MASK
 
@@ -190,15 +210,16 @@ class TestHitMask:
         assert v == zk_vector(32)
 
     def test_toy1_vector_not_expressible(self):
+        # a range that is neither pinned nor full, so no mask gives it
         v = PredicateVector(fixtures.TOY1_VECTOR_BOUNDS)
-        with pytest.raises(HitMaskUnsupportedError):
-            to_hit_mask(v)
+        assert any(lo != hi and (lo, hi) != (0, 15) for lo, hi in v.bounds)
+        target = Digest.from_hex(fixtures.TOY1_TARGET_HEX)
+        assert v not in {from_hit_mask(target, f"{m:x}") for m in range(16)}
 
     def test_singleton_gives_full_mask(self):
         t = Digest.from_hex("c6bfaba2")
-        masked, mask = to_hit_mask(singleton_vector(t))
-        assert masked == "c6bfaba2"
-        assert int(mask, 16) == 0xF
+        assert from_hit_mask(t, "f") == singleton_vector(t)
+        assert read_mask(singleton_vector(t)) == ("c6bfaba2", "f")
 
     def test_mask_length_must_match(self):
         target = Digest.from_hex(fixtures.NTLM_TARGET_HEX)
@@ -213,10 +234,11 @@ class TestHitMask:
         mask = int("".join("1" if p else "0" for p in picks), 2)
         mask_hex = format(mask, f"0{(len(picks) + 3) // 4}x")
         v = from_hit_mask(target, mask_hex)
-        masked, mask_out = to_hit_mask(v)
+        masked, mask_out = read_mask(v)
         assert mask_out == mask_hex
         assert from_hit_mask(Digest.from_hex(masked), mask_out) == v
         assert eval_predicate(v, target)
+        assert cardinality(v) == 256 ** picks.count(False)
 
 
 class TestDigest:
