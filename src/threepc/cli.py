@@ -4,8 +4,10 @@ Exit codes (disjoint, exhaustive):
 
     0  success; for `verify`: target cracked and no foul play suspected
     1  generic failure (bind failure; aborted run, partial potfile kept)
-    2  parse or configuration error (flags, plan/potfile files, corpus
-       file; a plan inconsistent with itself; an unwritable potfile)
+    2  parse or configuration error (flags; r, tolerance or nv out of
+       range; an empty keyspace; plan/potfile files, corpus file; a plan
+       inconsistent with itself; an unwritable potfile; an inline corpus
+       over 256 MiB; a flag that the chosen transport does not read)
     3  verify: target not cracked, but the server looks honest
     4  verify: foul play suspected (deviation or spot-check failure)
     5  connection error (refused, lost mid-job; partial potfile kept)
@@ -13,6 +15,9 @@ Exit codes (disjoint, exhaustive):
        candidate chunks)
     7  plan refused: a vector already exists for this target
     8  planning infeasible within tolerance (widen-tolerance error)
+
+A client command raises on failure; _EXIT_CODES maps the exception to
+its code, and client_main prints it as one `error:` line.
 """
 
 from __future__ import annotations
@@ -41,29 +46,37 @@ EXIT_NO_SMOOTH = 8
 ENV_CORPUS_DIR = "THREEPC_CORPUS_DIR"
 
 
-def _corpus_dir(args) -> str | None:
-    return args.corpus_dir or os.environ.get(ENV_CORPUS_DIR)
+# Which failure gives which client exit code; the first matching row wins.
+# An exception outside the table propagates.
+_EXIT_CODES = (
+    (WidenToleranceError, EXIT_NO_SMOOTH),
+    (DuplicatePlanError, EXIT_PLAN_EXISTS),
+    (engine.EngineAbortError, EXIT_FAILURE),
+    (protocol.ConnectionLostError, EXIT_CONNECTION),
+    ((protocol.ServerError, protocol.ProtocolViolation), EXIT_PROTOCOL),
+    ((OSError, ValueError, KeyError), EXIT_PARSE),
+)
+
+# The `run` flags that each transport does not read.
+_UNREAD_BY = {"server": ("workers", "corpus_dir"), "offline": ("timeout",)}
 
 
 def _resolve_spec(args, descriptor: str) -> keyspace.KeyspaceSpec:
-    if getattr(args, "corpus_file", None):
+    if args.corpus_file:
         words, _ = keyspace.load_wordlist(args.corpus_file)
         return keyspace.make_keyspace(descriptor, words=words)
-    corpus_dir = _corpus_dir(args)
+    corpus_dir = args.corpus_dir or os.environ.get(ENV_CORPUS_DIR)
     provider = keyspace.DirectoryCorpus(corpus_dir) if corpus_dir else None
     return keyspace.make_keyspace(descriptor, provider)
 
 
-def _below_minimum(args, **minimums: int) -> bool:
-    """Report the first flag whose value is below its minimum."""
+def _below_minimum(args, **minimums: int) -> None:
+    """Refuse the first flag whose value is below its minimum."""
     for name, least in minimums.items():
         value = getattr(args, name)
         if value < least:
             flag = "--" + name.replace("_", "-")
-            print(f"error: {flag} must be at least {least}, got {value}",
-                  file=sys.stderr)
-            return True
-    return False
+            raise ValueError(f"{flag} must be at least {least}, got {value}")
 
 
 def _pick_seed(args) -> int:
@@ -72,53 +85,27 @@ def _pick_seed(args) -> int:
     return random.SystemRandom().getrandbits(64)
 
 
-def cmd_plan(args) -> int:
-    try:
-        target = hashers.parse_digest_hex(args.algo, args.target)
-        spec = _resolve_spec(args, args.keyspace)
-        size = keyspace.spec_cardinality(spec)
-    except (ValueError, KeyError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    seed = _pick_seed(args)
-    store = PlanStore(args.plan_store)
-    try:
-        plan = planner.build_plan(target, args.algo, args.keyspace, size,
-                                  args.r, args.tolerance, seed)
-        path = store.save(plan)
-    except WidenToleranceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_SMOOTH
-    except DuplicatePlanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PLAN_EXISTS
+def _save_plan(args, plan: planner.Plan) -> int:
+    path = PlanStore(args.plan_store).save(plan)
     sys.stdout.write(plan.to_text())
     print(f"plan written to {path}")
     return EXIT_OK
+
+
+def cmd_plan(args) -> int:
+    target = hashers.parse_digest_hex(args.algo, args.target)
+    size = keyspace.spec_cardinality(_resolve_spec(args, args.keyspace))
+    return _save_plan(args, planner.build_plan(
+        target, args.algo, args.keyspace, size, args.r, args.tolerance,
+        _pick_seed(args)))
 
 
 def cmd_genv(args) -> int:
-    try:
-        target = hashers.parse_digest_hex(args.algo, args.target)
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    seed = _pick_seed(args)
-    store = PlanStore(args.plan_store)
-    try:
-        plan = planner.plan_for_nv(
-            target, args.algo, args.keyspace or "none", keyspace_size=0,
-            r=0.0, nv_target=args.nv, tolerance=args.tolerance, seed=seed)
-        path = store.save(plan)
-    except WidenToleranceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_SMOOTH
-    except DuplicatePlanError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PLAN_EXISTS
-    sys.stdout.write(plan.to_text())
-    print(f"plan written to {path}")
-    return EXIT_OK
+    target = hashers.parse_digest_hex(args.algo, args.target)
+    return _save_plan(args, planner.plan_for_nv(
+        target, args.algo, args.keyspace or "none", keyspace_size=0,
+        r=0.0, nv_target=args.nv, tolerance=args.tolerance,
+        seed=_pick_seed(args)))
 
 
 def _write_run_report(out: Path, plan_path: str, report: engine.CrackReport,
@@ -140,94 +127,67 @@ def _write_run_report(out: Path, plan_path: str, report: engine.CrackReport,
 
 
 def cmd_run(args) -> int:
-    if _below_minimum(args, workers=1):
-        return EXIT_PARSE
-    try:
-        plan = planner.Plan.from_text(Path(args.plan).read_text())
-        vector = parse_vector(plan.vector_hex)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    if not (args.offline or args.server):
+        raise ValueError("need --server host:port or --offline")
+    transport = "offline" if args.offline else "server"
+    for name in _UNREAD_BY[transport]:
+        if getattr(args, name) is not None:
+            raise ValueError(f"--{name.replace('_', '-')} is not read by "
+                             f"--{transport} runs")
+    if args.workers is not None:
+        _below_minimum(args, workers=1)
+    plan = planner.Plan.from_text(Path(args.plan).read_text())
+    vector = parse_vector(plan.vector_hex)
     out = Path(args.out)
-    report_path = out.with_name(out.name + ".report")
 
     if args.offline:
-        try:
-            spec = _resolve_spec(args, plan.keyspace_descriptor)
-        except (ValueError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
+        spec = _resolve_spec(args, plan.keyspace_descriptor)
 
         def progress(hashed: int, rate: float, eta: float) -> None:
             print(f"progress: {hashed:,} hashed, {rate:,.0f} H/s, "
                   f"ETA {eta:.0f}s", file=sys.stderr)
 
-        try:
-            sink = potfile.PotfileWriter(out)
-        except OSError as exc:
-            print(f"error: cannot write the potfile: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-        try:
-            with sink:
-                report = engine.crack_parallel(
+        def job() -> engine.CrackReport:
+            with potfile.PotfileWriter(out) as sink:
+                return engine.crack_parallel(
                     vector, spec, plan.algo_id, sink,
-                    n_workers=args.workers, progress=progress)
-        except engine.EngineAbortError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            _write_run_report(report_path, args.plan, exc.report, plan.seed)
-            return EXIT_FAILURE
-        _write_run_report(report_path, args.plan, report, plan.seed)
-        return EXIT_OK
-
-    if not args.server:
-        print("error: need --server host:port or --offline", file=sys.stderr)
-        return EXIT_PARSE
-    try:
+                    n_workers=args.workers or os.cpu_count() or 1,
+                    progress=progress)
+    else:
         endpoint = protocol.parse_endpoint(args.server)
         inline = (Path(args.corpus_file).read_bytes() if args.corpus_file
                   else b"")
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+
+        def job() -> engine.CrackReport:
+            return protocol.run_job(plan, endpoint, out, inline,
+                                    timeout=args.timeout)
+
+    report_path = out.with_name(out.name + ".report")
     try:
-        report = protocol.run_job(plan, endpoint, out, inline,
-                                  timeout=args.timeout)
-    except OSError as exc:  # run_job's OSErrors all come from the potfile
-        print(f"error: cannot write the potfile: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except protocol.ConnectionLostError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        partial = exc.partial.report if exc.partial else engine.CrackReport(
-            0, 0, 0.0, 0.0, partial=True)
-        _write_run_report(report_path, args.plan, partial, plan.seed)
-        return EXIT_CONNECTION
-    except (protocol.ServerError, protocol.ProtocolViolation) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PROTOCOL
+        report = job()
+    except (engine.EngineAbortError, protocol.ConnectionLostError) as exc:
+        _write_run_report(report_path, args.plan, exc.report, plan.seed)
+        raise
+    except OSError as exc:  # past the engine and run_job, only the potfile
+        raise OSError(f"cannot write the potfile: {exc}") from exc
     _write_run_report(report_path, args.plan, report, plan.seed)
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    try:
-        plan = planner.Plan.from_text(Path(args.plan).read_text())
-        vector = parse_vector(plan.vector_hex)
-        target = hashers.parse_digest_hex(plan.algo_id, plan.target_hex)
-        expected_r = (args.expected_r if args.expected_r is not None
-                      else plan.expected_candidates)
-        if expected_r <= 0:
-            print("error: plan has no expected candidate count; "
-                  "pass --expected-r", file=sys.stderr)
-            return EXIT_PARSE
-        seed = args.seed if args.seed is not None else plan.seed ^ 0x5F0F
-        verdict = verifier.verify(
-            args.potfile, target, vector, plan.algo_id, expected_r,
-            z_threshold=args.z_threshold, spot_sample=args.spot_sample,
-            rng=seed,
-        )
-    except (OSError, ValueError, potfile.PotfileParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    plan = planner.Plan.from_text(Path(args.plan).read_text())
+    vector = parse_vector(plan.vector_hex)
+    target = hashers.parse_digest_hex(plan.algo_id, plan.target_hex)
+    expected_r = (args.expected_r if args.expected_r is not None
+                  else plan.expected_candidates)
+    if expected_r <= 0:
+        raise ValueError("plan has no expected candidate count; "
+                         "pass --expected-r")
+    seed = args.seed if args.seed is not None else plan.seed ^ 0x5F0F
+    verdict = verifier.verify(
+        args.potfile, target, vector, plan.algo_id, expected_r,
+        z_threshold=args.z_threshold, spot_sample=args.spot_sample, rng=seed,
+    )
     sys.stdout.write(verifier.render_verdict(verdict))
     print(f"seed = {seed}")
     if not verdict.honest:
@@ -242,9 +202,11 @@ def client_main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_seed(p):
         p.add_argument("--seed", type=int, default=None,
                        help="seed for all randomized behavior (printed in reports)")
+
+    def add_corpus(p):
         p.add_argument("--corpus-dir", default=None,
                        help=f"corpus directory (default ${ENV_CORPUS_DIR})")
         p.add_argument("--corpus-file", default=None,
@@ -258,7 +220,8 @@ def client_main(argv=None) -> int:
                    help="expected number of candidate passwords")
     p.add_argument("--tolerance", type=float, default=planner.DEFAULT_TOLERANCE)
     p.add_argument("--plan-store", default="plans")
-    add_common(p)
+    add_seed(p)
+    add_corpus(p)
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("genv", help="generate a vector for an explicit decoy count")
@@ -269,18 +232,22 @@ def client_main(argv=None) -> int:
     p.add_argument("--keyspace", default=None)
     p.add_argument("--tolerance", type=float, default=planner.DEFAULT_TOLERANCE)
     p.add_argument("--plan-store", default="plans")
-    add_common(p)
+    add_seed(p)
     p.set_defaults(func=cmd_genv)
 
     p = sub.add_parser("run", help="submit the planned job and collect candidates")
     p.add_argument("--plan", required=True)
     p.add_argument("--out", required=True, help="potfile output path")
-    p.add_argument("--server", default=None, help="host:port")
-    p.add_argument("--offline", action="store_true",
-                   help="run the engine in-process instead of a server")
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
-    p.add_argument("--timeout", type=float, default=None)
-    add_common(p)
+    transport = p.add_mutually_exclusive_group()
+    transport.add_argument("--server", default=None, help="host:port")
+    transport.add_argument("--offline", action="store_true",
+                           help="run the engine in-process instead of a server")
+    p.add_argument("--workers", type=int, default=None,
+                   help="engine worker processes, --offline only "
+                        "(default: CPU count)")
+    p.add_argument("--timeout", type=float, default=None,
+                   help="socket timeout in seconds, --server only")
+    add_corpus(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("verify", help="check the candidate set and the server's effort")
@@ -291,11 +258,18 @@ def client_main(argv=None) -> int:
     p.add_argument("--spot-sample", type=int,
                    default=verifier.DEFAULT_SPOT_SAMPLE)
     p.add_argument("--expected-r", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    add_seed(p)
     p.set_defaults(func=cmd_verify)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        for types, code in _EXIT_CODES:
+            if isinstance(exc, types):
+                print(f"error: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 def server_main(argv=None) -> int:
@@ -313,10 +287,9 @@ def server_main(argv=None) -> int:
                         help="hashes per rate measurement")
     parser.add_argument("--max-frame-mib", type=int, default=64)
     args = parser.parse_args(argv)
-    if _below_minimum(args, workers=1, rate_budget=hashers.MIN_RATE_BUDGET,
-                      max_frame_mib=1):
-        return EXIT_PARSE
     try:
+        _below_minimum(args, workers=1, rate_budget=hashers.MIN_RATE_BUDGET,
+                       max_frame_mib=1)
         endpoint = protocol.parse_endpoint(args.listen)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -86,10 +86,6 @@ class PlanParameters:
     digest_length: int
     nv_target: Fraction
 
-    @property
-    def nv_float(self) -> float:
-        return float(self.nv_target)
-
 
 @dataclass(frozen=True)
 class SmoothSearchResult:

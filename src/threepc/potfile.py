@@ -166,11 +166,6 @@ def iter_potfile(path: str | Path, digest_hex_width: int
     yield from PotfileIndex.read(path, digest_hex_width)
 
 
-def read_potfile(path: str | Path, digest_hex_width: int
-                 ) -> list[tuple[int, str, bytes]]:
-    return list(PotfileIndex.read(path, digest_hex_width))
-
-
 def count_records(source: str | Path | PotfileIndex,
                   digest_hex_width: int) -> int:
     return len(as_index(source, digest_hex_width))

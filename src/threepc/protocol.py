@@ -25,10 +25,10 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
-from . import engine, hashers, keyspace, planner, potfile, verifier
+from . import engine, hashers, keyspace, potfile
 from .keyspace import DirectoryCorpus, UnresolvedCorpusError
 from .planner import Plan
-from .predicate import parse_vector, serialize_vector
+from .predicate import parse_vector
 
 DEFAULT_PORT = 3727
 DEFAULT_MAX_FRAME = 64 * 1024 * 1024
@@ -59,11 +59,12 @@ class ServerError(RuntimeError):
 
 
 class ConnectionLostError(RuntimeError):
-    """Stream ended mid-exchange; partial results are retained."""
+    """Stream ended mid-exchange; report is partial and counts the
+    candidates retained."""
 
-    def __init__(self, message: str, partial: "SessionResult | None" = None):
+    def __init__(self, message: str, hits: int = 0):
         super().__init__(message)
-        self.partial = partial
+        self.report = engine.CrackReport(0, hits, 0.0, 0.0, partial=True)
 
 
 @dataclass(frozen=True)
@@ -388,14 +389,6 @@ class CrackServer:
 # Client
 
 
-@dataclass
-class SessionResult:
-    plan: Plan
-    report: engine.CrackReport
-    verdict: verifier.VerificationVerdict | None
-    potfile_path: Path
-
-
 def parse_endpoint(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
     if not host or not port.isdigit():
@@ -422,8 +415,8 @@ def run_job(plan: Plan, endpoint: tuple[str, int], potfile_path: str | Path,
     raise ConnectionLostError.  Malformed candidates and a JobDone whose
     hit count disagrees with the pairs received, or whose hashed count is
     not the plan's keyspace size, raise ProtocolViolation.
-    On connection loss the partial potfile is kept and the raised error
-    carries a partial report.
+    On connection loss the partial potfile is kept, and the raised
+    error's partial report counts the candidates it holds.
     """
     if len(inline_corpus) > INLINE_CORPUS_CAP:
         raise ValueError("inline corpus exceeds the 256 MiB cap")
@@ -434,12 +427,9 @@ def run_job(plan: Plan, endpoint: tuple[str, int], potfile_path: str | Path,
             with sock:
                 return _exchange(sock, plan, out, inline_corpus, tx_log)
         except ConnectionLostError as exc:
-            report = engine.CrackReport(0, out.pairs_written, 0.0, 0.0,
-                                        partial=True)
             raise ConnectionLostError(
                 f"{exc}; partial candidate set retained at {potfile_path}",
-                SessionResult(plan, report, None, potfile_path),
-            ) from None
+                out.pairs_written) from None
 
 
 def _exchange(sock: socket.socket, plan: Plan, out: potfile.PotfileWriter,
@@ -488,32 +478,3 @@ def _exchange(sock: socket.socket, plan: Plan, out: potfile.PotfileWriter,
             raise ProtocolViolation(
                 "protocol-order", f"unexpected mid-job {msg!r}")
 
-
-def client_session(target_hex: str, algo_id: str, r, keyspace_descriptor: str,
-                   endpoint: tuple[str, int], potfile_path: str | Path,
-                   corpus=None, inline_corpus: bytes = b"",
-                   tolerance: float = planner.DEFAULT_TOLERANCE,
-                   seed: int | None = None,
-                   z_threshold: float = verifier.DEFAULT_Z_THRESHOLD,
-                   spot_sample: int = verifier.DEFAULT_SPOT_SAMPLE,
-                   tx_log: bytearray | None = None,
-                   timeout: float | None = None) -> SessionResult:
-    """The full exchange: hash info, local planning, job submission,
-    candidate streaming, and local verification of the results."""
-    target = hashers.parse_digest_hex(algo_id, target_hex)
-    if inline_corpus:
-        words, _ = keyspace.ingest_wordlist(inline_corpus)
-        spec = keyspace.make_keyspace(keyspace_descriptor, words=words)
-    else:
-        spec = keyspace.make_keyspace(keyspace_descriptor, corpus)
-    size = keyspace.spec_cardinality(spec)
-    plan = planner.build_plan(target, algo_id, keyspace_descriptor, size, r,
-                              tolerance, seed)
-    report = run_job(plan, endpoint, potfile_path, inline_corpus, tx_log,
-                     timeout)
-    verdict = verifier.verify(
-        potfile_path, target, parse_vector(plan.vector_hex), algo_id,
-        plan.expected_candidates, z_threshold, spot_sample,
-        rng=plan.seed ^ 0x5F0F,
-    )
-    return SessionResult(plan, report, verdict, Path(potfile_path))

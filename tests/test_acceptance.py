@@ -18,7 +18,7 @@ from threepc import engine, hashers, keyspace, planner, verifier
 from threepc.cli import EXIT_FOUL_PLAY, EXIT_OK, client_main
 from threepc.engine import ListSink, crack, crack_parallel
 from threepc.planner import Plan, build_plan, gen_v, plan_nv, smooth_search
-from threepc.potfile import PotfileWriter, read_potfile
+from threepc.potfile import PotfileWriter, iter_potfile
 from threepc.predicate import (
     Digest,
     PredicateVector,
@@ -29,7 +29,7 @@ from threepc.predicate import (
     parse_vector,
     serialize_vector,
 )
-from threepc.protocol import CrackServer, client_session
+from threepc.protocol import CrackServer, run_job
 from threepc.verifier import proof_of_work
 
 import fixtures
@@ -72,7 +72,7 @@ def test_criterion_1_toy2_exact_reproduction(tmp_path):
     elapsed = time.perf_counter() - start
     assert code == EXIT_OK
 
-    rows = read_potfile(pot_path, 64)
+    rows = list(iter_potfile(pot_path, 64))
     got = sorted((password, digest[:32]) for _, digest, password in rows)
     expected = sorted((pw, prefix) for pw, prefix in fixtures.TOY2_CANDIDATES)
     assert got == expected  # exact multiset, all 9 rows
@@ -92,11 +92,12 @@ def test_criterion_2_toy1_fixture_suite():
     assert cardinality(v) == 5880
 
     params = plan_nv(fixtures.TOY1_KEYSPACE_SIZE, fixtures.TOY1_R, 8)
-    assert abs(params.nv_float - 5988.36) <= 0.01
+    assert abs(float(params.nv_target) - 5988.36) <= 0.01
     expected = planner.expected_candidates(v, fixtures.TOY1_KEYSPACE_SIZE)
     assert abs(expected - 19.63) <= 0.01
     report(2, f"20/20 dictionary rows re-hash and satisfy the vector; "
-              f"|decoys|=5880, nv={params.nv_float:.2f}, r={expected:.2f}")
+              f"|decoys|=5880, nv={float(params.nv_target):.2f}, "
+              f"r={expected:.2f}")
 
 
 def test_criterion_3_ntlm_case_study_formulas():
@@ -265,16 +266,17 @@ def test_criterion_8_wire_privacy(tmp_path):
         server.serve_in_background()
         for trial in range(50):
             pw = b"s%07d" % rng.randrange(10 ** 7)
-            target_hex = hashers.digest("crc32", pw).hex
+            target = hashers.digest("crc32", pw)
+            target_hex = target.hex
+            r = rng.choice((2.0, 5.0, 17.0))
+            descriptor = rng.choice(
+                ("mask:?d?d?d", "mask:?l?d", "mask:?d?d?d?d"))
+            size = keyspace.spec_cardinality(
+                keyspace.make_keyspace(descriptor))
             tx = bytearray()
-            client_session(
-                target_hex, "crc32", r=rng.choice((2.0, 5.0, 17.0)),
-                keyspace_descriptor=rng.choice(
-                    ("mask:?d?d?d", "mask:?l?d", "mask:?d?d?d?d")),
-                endpoint=server.address,
-                potfile_path=tmp_path / f"s{trial}.pot",
-                seed=trial, tx_log=tx,
-            )
+            run_job(build_plan(target, "crc32", descriptor, size, r,
+                               seed=trial),
+                    server.address, tmp_path / f"s{trial}.pot", tx_log=tx)
             wire = bytes(tx)
             assert target_hex.encode() not in wire
             assert target_hex.upper().encode() not in wire

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from threepc import hashers, keyspace, potfile
+from threepc import cli, hashers, keyspace, potfile, protocol
 from threepc.cli import (
     EXIT_CONNECTION,
     EXIT_FAILURE,
@@ -23,7 +23,7 @@ from threepc.cli import (
     client_main,
 )
 from threepc.planner import Plan
-from threepc.potfile import read_potfile
+from threepc.potfile import iter_potfile
 from threepc.predicate import cardinality, parse_vector
 
 import fixtures
@@ -176,7 +176,7 @@ class TestRunOffline:
         report = (tmp_path / "out.pot.report").read_text()
         assert "hashed_count = 2000" in report
         assert "partial = false" in report
-        records = read_potfile(out, 8)
+        records = list(iter_potfile(out, 8))
         assert any(pw == b"w0042" for _, _, pw in records)
 
     def test_offline_runs_are_byte_reproducible(self, tmp_path, capsys):
@@ -223,7 +223,7 @@ class TestRunOffline:
             "--corpus-file", str(corpus), "--workers", "1",
         ]) == EXIT_FAILURE
         assert "partial = true" in (tmp_path / "out.pot.report").read_text()
-        assert read_potfile(out, 8)
+        assert list(iter_potfile(out, 8))
 
     def test_empty_keyspace_gives_empty_potfile(self, tmp_path, capsys):
         plan_path, corpus, _ = make_plan(tmp_path, capsys)
@@ -325,7 +325,7 @@ class TestVerifyCommand:
     def test_fabricated_pairs_exit_four(self, tmp_path, capsys):
         plan_path, out = self._run_offline(tmp_path, capsys, r=200.0,
                                            corpus_words=30_000)
-        records = read_potfile(out, 8)
+        records = list(iter_potfile(out, 8))
         forged = records[0][1].encode() + b":forged-password\n"
         out.write_bytes(out.read_bytes() + forged)
         assert client_main(["verify", "--plan", str(plan_path),
@@ -337,6 +337,85 @@ class TestVerifyCommand:
         out.write_bytes(b"not a potfile\n")
         assert client_main(["verify", "--plan", str(plan_path),
                             "--potfile", str(out)]) == EXIT_PARSE
+
+
+def _plan_argv(tmp_path, *flags):
+    target = hashers.digest("crc32", b"x").hex
+    return ["plan", "--algo", "crc32", "--target", target,
+            "--plan-store", str(tmp_path / "p"), *flags]
+
+
+def _empty_corpus(tmp_path):
+    path = tmp_path / "empty.txt"
+    path.write_bytes(b"")
+    return str(path)
+
+
+class TestFailureMapping:
+    @pytest.mark.parametrize("argv_for", [
+        lambda t, _: _plan_argv(t, "--keyspace", "mask:?d?d", "--r", "0"),
+        lambda t, _: _plan_argv(t, "--keyspace", "mask:?d?d", "--r", "1",
+                                "--tolerance", "0"),
+        lambda t, _: _plan_argv(t, "--keyspace", "mask:" + "?a" * 6,
+                                "--r", "1e-7"),
+        lambda t, _: ["genv", "--algo", "crc32", "--target", "00000000",
+                      "--nv", "0.5", "--plan-store", str(t / "p")],
+        lambda t, _: _plan_argv(t, "--keyspace", "wordlist:x", "--r", "1",
+                                "--corpus-file", _empty_corpus(t)),
+        lambda t, capsys: [
+            "run", "--plan", str(make_plan(t, capsys)[0]),
+            "--out", str(t / "x.pot"), "--server", "127.0.0.1:1",
+            "--corpus-file", str(t / "corpus.txt")],
+    ], ids=["r-zero", "tolerance-zero", "nv-below-one", "genv-nv-below-one",
+            "empty-corpus-file", "inline-corpus-over-cap"])
+    def test_mapped_failure_exits_two(self, tmp_path, capsys, monkeypatch,
+                                      argv_for):
+        argv = argv_for(tmp_path, capsys)
+        monkeypatch.setattr(protocol, "INLINE_CORPUS_CAP", 8)  # < corpus.txt
+        assert client_main(argv) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "x.pot").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--server", "127.0.0.1:1", "--workers", "2"],
+        ["--server", "127.0.0.1:1", "--corpus-dir", "corpora"],
+        ["--offline", "--timeout", "5"],
+        ["--offline", "--server", "127.0.0.1:1"],
+    ], ids=["server-workers", "server-corpus-dir", "offline-timeout",
+            "both-transports"])
+    def test_flag_the_transport_does_not_read_is_refused(
+            self, tmp_path, capsys, monkeypatch, flags):
+        plan_path, corpus, _ = make_plan(tmp_path, capsys)
+
+        def refuse_to_connect(*args, **kwargs):
+            raise AssertionError("the client must not connect")
+
+        monkeypatch.setattr(protocol.socket, "create_connection",
+                            refuse_to_connect)
+        out = tmp_path / "x.pot"
+        try:
+            code = client_main(["run", "--plan", str(plan_path),
+                                "--out", str(out), "--corpus-file",
+                                str(corpus), *flags])
+        except SystemExit as exc:  # argparse refuses the exclusive pair
+            code = exc.code
+        assert code == EXIT_PARSE
+        assert "error: " in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_exit_codes_agree_with_the_docs():
+    table = {code for _, code in cli._EXIT_CODES}
+    table |= {EXIT_OK, EXIT_NOT_CRACKED, EXIT_FOUL_PLAY}  # verify's verdicts
+    docstring = {int(c) for c in re.findall(r"^    (\d+)  ", cli.__doc__,
+                                            re.M)}
+    readme = (Path(__file__).resolve().parent.parent
+              / "README.md").read_text()
+    section = readme.split("### Exit codes\n", 1)[1].split("\n#", 1)[0]
+    rows = {int(c) for c in re.findall(r"^\| (\d+) \|", section, re.M)}
+    assert table == docstring == rows
 
 
 def test_server_bind_failure_exits_one(tmp_path):
@@ -405,7 +484,7 @@ class TestServerProcess:
                 "--offline", "--corpus-file", str(corpus_file),
             ]) == EXIT_OK
             assert net_out.read_bytes() == off_out.read_bytes()
-            assert read_potfile(net_out, 8)
+            assert list(iter_potfile(net_out, 8))
         finally:
             proc.terminate()
             proc.wait(timeout=10)

@@ -2,7 +2,12 @@ import pytest
 
 from threepc import hashers, planner
 from threepc.cli import EXIT_PARSE, client_main
-from threepc.potfile import PotfileParseError, PotfileWriter, count_records, read_potfile
+from threepc.potfile import (
+    PotfileParseError,
+    PotfileWriter,
+    count_records,
+    iter_potfile,
+)
 
 
 def test_write_and_read_round_trip(tmp_path):
@@ -14,7 +19,7 @@ def test_write_and_read_round_trip(tmp_path):
     ]
     with PotfileWriter(path) as writer:
         writer.write_batch(pairs)
-    records = read_potfile(path, 8)
+    records = list(iter_potfile(path, 8))
     assert [(d, p) for _, d, p in records] == [
         ("c6bfaba2", b"password"),
         ("00ff00ff", b"with:colons:inside"),
@@ -26,7 +31,7 @@ def test_write_and_read_round_trip(tmp_path):
 def test_fixed_width_split_keeps_colons(tmp_path):
     path = tmp_path / "out.pot"
     path.write_bytes(b"00112233:a:b:c\n")
-    [(_, digest, password)] = read_potfile(path, 8)
+    [(_, digest, password)] = list(iter_potfile(path, 8))
     assert digest == "00112233"
     assert password == b"a:b:c"
 
@@ -34,24 +39,24 @@ def test_fixed_width_split_keeps_colons(tmp_path):
 def test_empty_file(tmp_path):
     path = tmp_path / "empty.pot"
     path.write_bytes(b"")
-    assert read_potfile(path, 8) == []
+    assert list(iter_potfile(path, 8)) == []
 
 
 def test_malformed_lines_carry_line_numbers(tmp_path):
     path = tmp_path / "bad.pot"
     path.write_bytes(b"00112233:ok\nshort\n")
     with pytest.raises(PotfileParseError) as err:
-        read_potfile(path, 8)
+        list(iter_potfile(path, 8))
     assert err.value.line_no == 2
 
     path.write_bytes(b"0011223x:nothex\n")
     with pytest.raises(PotfileParseError) as err:
-        read_potfile(path, 8)
+        list(iter_potfile(path, 8))
     assert err.value.line_no == 1
 
     path.write_bytes(b"00112233_nosep\n")
     with pytest.raises(PotfileParseError) as err:
-        read_potfile(path, 8)
+        list(iter_potfile(path, 8))
     assert err.value.line_no == 1
 
 
@@ -127,12 +132,13 @@ def test_parse_cases(tmp_path, capsys, crc32_plan, name):
                         "--potfile", str(path)])
     stderr = capsys.readouterr().err
     if isinstance(expected, list):
-        assert read_potfile(path, 8) == expected
+        assert list(iter_potfile(path, 8)) == expected
         assert count_records(path, 8) == len(expected)
         assert code != EXIT_PARSE
         return
     line_no, message = expected
-    for parse in (read_potfile, count_records):
+    for parse in (lambda p, w: list(iter_potfile(p, w)),
+                  count_records):
         with pytest.raises(PotfileParseError) as err:
             parse(path, 8)
         assert err.value.line_no == line_no

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threepc import hashers, keyspace, planner, protocol
-from threepc.cli import EXIT_PROTOCOL, client_main
+from threepc.cli import EXIT_OK, EXIT_PROTOCOL, client_main
 from threepc.engine import ListSink, crack
-from threepc.potfile import read_potfile
+from threepc.potfile import iter_potfile
 from threepc.predicate import parse_vector, serialize_vector, zk_vector
 from threepc.protocol import (
     CandidateChunk,
@@ -23,7 +23,6 @@ from threepc.protocol import (
     JobSubmit,
     ProtocolViolation,
     ServerError,
-    client_session,
     decode_payload,
     encode_message,
     parse_endpoint,
@@ -135,7 +134,7 @@ class TestServer:
         sink = ListSink()
         crack(parse_vector(plan.vector_hex), spec, plan.algo_id, sink)
         offline = sorted((d.hex(), pw) for pw, d in sink.pairs)
-        networked = sorted((d, pw) for _, d, pw in read_potfile(pot, 8))
+        networked = sorted((d, pw) for _, d, pw in list(iter_potfile(pot, 8)))
         assert networked == offline
 
     def test_identical_jobs_reproduce(self, local_server, tmp_path):
@@ -144,7 +143,7 @@ class TestServer:
         for name in ("a.pot", "b.pot"):
             path = tmp_path / name
             run_job(plan, local_server.address, path)
-            pots.append(sorted(read_potfile(path, 8)))
+            pots.append(sorted(list(iter_potfile(path, 8))))
         assert pots[0] == pots[1]
 
     def test_inline_corpus_upload(self, local_server, tmp_path):
@@ -295,55 +294,78 @@ class TestHostileServer:
         assert report.hashed_count == 12345
 
 
+def _cli_session(tmp_path, name, password, descriptor, r, seed, endpoint,
+                 plan_args=()):
+    """plan, then run --server, through the CLI with a plan store of the
+    session's own; returns the plan path and the potfile."""
+    target = hashers.digest("crc32", password).hex
+    store = tmp_path / f"{name}-plans"
+    assert client_main([
+        "plan", "--algo", "crc32", "--target", target,
+        "--keyspace", descriptor, "--r", str(r), "--seed", str(seed),
+        "--plan-store", str(store), *plan_args,
+    ]) == EXIT_OK
+    plan_path = store / f"{target}.plan"
+    pot = tmp_path / f"{name}.pot"
+    assert client_main([
+        "run", "--plan", str(plan_path), "--out", str(pot),
+        "--server", "%s:%d" % endpoint,
+    ]) == EXIT_OK
+    return plan_path, pot
+
+
+def _cli_verify(capsys, plan_path, pot):
+    capsys.readouterr()
+    code = client_main(["verify", "--plan", str(plan_path),
+                        "--potfile", str(pot)])
+    return code, capsys.readouterr().out
+
+
 class TestClientSession:
     def test_full_session_cracks_planted_target(self, local_server,
-                                                corpus_dir, tmp_path):
+                                                corpus_dir, tmp_path, capsys):
         words = [b"w%05d" % i for i in range(5000)]
         (corpus_dir / "demo").write_bytes(b"\n".join(words) + b"\n")
-        result = client_session(
-            hashers.digest("crc32", b"w01234").hex, "crc32", r=40.0,
-            keyspace_descriptor="wordlist:demo",
-            endpoint=local_server.address,
-            potfile_path=tmp_path / "sess.pot",
-            corpus=keyspace.DirectoryCorpus(corpus_dir), seed=11,
-        )
-        assert result.verdict.cracked
-        assert result.verdict.cleartext == b"w01234"
-        assert result.verdict.pow_pass and result.verdict.spotcheck_pass
-        assert result.report.hashed_count == 5000
+        plan_path, pot = _cli_session(
+            tmp_path, "sess", b"w01234", "wordlist:demo", 40.0, 11,
+            local_server.address, ("--corpus-dir", str(corpus_dir)))
+        code, out = _cli_verify(capsys, plan_path, pot)
+        assert code == EXIT_OK
+        assert "cracked = yes\n" in out
+        assert "cleartext = w01234\n" in out
+        assert "proof_of_work = pass\n" in out
+        assert "spot_check = pass " in out
+        report = (tmp_path / "sess.pot.report").read_text()
+        assert "hashed_count = 5000\n" in report
 
-    def test_concurrent_sessions_stay_isolated(self, local_server, tmp_path):
+    def test_concurrent_sessions_stay_isolated(self, local_server, tmp_path,
+                                              capsys):
         from concurrent.futures import ThreadPoolExecutor
 
         def session(tag: int):
-            pw = b"t%d%d%d" % (tag, tag, tag)
-            return tag, client_session(
-                hashers.digest("crc32", pw).hex, "crc32", r=4.0,
-                keyspace_descriptor="mask:t?d?d?d",
-                endpoint=local_server.address,
-                potfile_path=tmp_path / f"conc{tag}.pot", seed=tag,
-            )
+            return tag, _cli_session(
+                tmp_path, f"conc{tag}", b"t%d%d%d" % (tag, tag, tag),
+                "mask:t?d?d?d", 4.0, tag, local_server.address)
 
         with ThreadPoolExecutor(max_workers=2) as pool:
-            results = dict(pool.map(session, (1, 2)))
-        for tag, result in results.items():
-            assert result.report.hashed_count == 1000
-            assert result.verdict.cracked
-            assert result.verdict.cleartext == b"t%d%d%d" % (tag, tag, tag)
+            sessions = dict(pool.map(session, (1, 2)))
+        for tag, (plan_path, pot) in sessions.items():
+            report = (tmp_path / f"conc{tag}.pot.report").read_text()
+            assert "hashed_count = 1000\n" in report
+            code, out = _cli_verify(capsys, plan_path, pot)
+            assert code == EXIT_OK
+            assert "cracked = yes\n" in out
+            assert "cleartext = t%d%d%d\n" % (tag, tag, tag) in out
 
     def test_wire_never_contains_target_digest(self, local_server, tmp_path):
         rng = random.Random(0xD1CE)
         for trial in range(5):
             pw = b"s%06d" % rng.randrange(10 ** 6)
-            target_hex = hashers.digest("crc32", pw).hex
+            plan = _make_plan(target_pw=pw, descriptor="mask:?d?d?d", r=3.0,
+                              size=1000, seed=trial)
             tx = bytearray()
-            client_session(
-                target_hex, "crc32", r=3.0,
-                keyspace_descriptor="mask:?d?d?d",
-                endpoint=local_server.address,
-                potfile_path=tmp_path / f"p{trial}.pot",
-                seed=trial, tx_log=tx,
-            )
+            run_job(plan, local_server.address, tmp_path / f"p{trial}.pot",
+                    tx_log=tx)
             wire = bytes(tx)
-            assert target_hex.encode() not in wire
-            assert target_hex.upper().encode() not in wire
+            assert plan.target_hex.encode() not in wire
+            assert plan.target_hex.upper().encode() not in wire
