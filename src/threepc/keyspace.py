@@ -58,19 +58,6 @@ class UnresolvedCorpusError(KeyspaceError):
 
 
 @dataclass(frozen=True)
-class MaskToken:
-    """One candidate position: a set of byte-string fragments to pick from.
-
-    kind is "literal", "class", "union", or "word"; word tokens carry no
-    choices until the spec is resolved against a corpus.
-    """
-
-    kind: str
-    text: str
-    choices: tuple[bytes, ...] = ()
-
-
-@dataclass(frozen=True)
 class IngestReport:
     kept: int
     dropped_empty: int = 0
@@ -82,7 +69,9 @@ class IngestReport:
 class KeyspaceSpec:
     mode: str  # wordlist | mask | hybrid
     descriptor: str
-    tokens: tuple[MaskToken, ...] = ()
+    # per candidate position, the fragments to pick from; None is the ?w
+    # slot, which draws from the words once the spec is resolved
+    tokens: tuple[tuple[bytes, ...] | None, ...] = ()
     wordlist_name: str | None = None
     words: tuple[bytes, ...] | None = field(default=None, repr=False)
 
@@ -173,8 +162,9 @@ class DirectoryCorpus:
         return self._cache[name]
 
 
-def _parse_mask_tokens(mask: str, allow_word: bool) -> tuple[MaskToken, ...]:
-    tokens: list[MaskToken] = []
+def _parse_mask_tokens(mask: str, allow_word: bool
+                       ) -> tuple[tuple[bytes, ...] | None, ...]:
+    tokens: list[tuple[bytes, ...] | None] = []
     i = 0
     while i < len(mask):
         c = mask[i]
@@ -183,16 +173,14 @@ def _parse_mask_tokens(mask: str, allow_word: bool) -> tuple[MaskToken, ...]:
                 raise KeyspaceError("dangling '?' in mask")
             tag = mask[i + 1]
             if tag == "?":
-                tokens.append(MaskToken("literal", "??", (b"?",)))
+                tokens.append((b"?",))
             elif tag == "w":
                 if not allow_word:
                     raise KeyspaceError("?w is only valid in hybrid mode")
-                tokens.append(MaskToken("word", "?w"))
+                tokens.append(None)
             elif tag in _CLASS_CHARS:
                 chars = _CLASS_CHARS[tag]
-                tokens.append(MaskToken(
-                    "class", f"?{tag}", tuple(chars[j:j + 1] for j in range(len(chars)))
-                ))
+                tokens.append(tuple(chars[j:j + 1] for j in range(len(chars))))
             else:
                 raise KeyspaceError(f"unknown mask class ?{tag}")
             i += 2
@@ -215,13 +203,10 @@ def _parse_mask_tokens(mask: str, allow_word: bool) -> tuple[MaskToken, ...]:
                 j += 2
             if not merged:
                 raise KeyspaceError("empty union token")
-            tokens.append(MaskToken(
-                "union", mask[i:end + 1],
-                tuple(bytes([ch]) for ch in merged),
-            ))
+            tokens.append(tuple(bytes([ch]) for ch in merged))
             i = end + 1
         else:
-            tokens.append(MaskToken("literal", c, (c.encode("utf-8"),)))
+            tokens.append((c.encode("utf-8"),))
             i += 1
     if not tokens:
         raise KeyspaceError("empty mask")
@@ -234,8 +219,7 @@ def parse_descriptor(text: str) -> KeyspaceSpec:
     if mode == "wordlist":
         if not rest:
             raise KeyspaceError("wordlist descriptor needs a corpus name")
-        return KeyspaceSpec("wordlist", text, (MaskToken("word", "?w"),),
-                            wordlist_name=rest)
+        return KeyspaceSpec("wordlist", text, (None,), wordlist_name=rest)
     if mode == "mask":
         tokens = _parse_mask_tokens(rest, allow_word=False)
         return KeyspaceSpec("mask", text, tokens)
@@ -244,8 +228,7 @@ def parse_descriptor(text: str) -> KeyspaceSpec:
         if not name or not sep:
             raise KeyspaceError("hybrid descriptor is hybrid:<name>:<mask>")
         tokens = _parse_mask_tokens(mask, allow_word=True)
-        n_word = sum(1 for t in tokens if t.kind == "word")
-        if n_word != 1:
+        if sum(t is None for t in tokens) != 1:
             raise KeyspaceError("hybrid mask must contain exactly one ?w")
         return KeyspaceSpec("hybrid", text, tokens, wordlist_name=name)
     raise KeyspaceError(f"unknown keyspace mode {mode!r}")
@@ -276,7 +259,7 @@ def _choice_sets(spec: KeyspaceSpec) -> list[tuple[bytes, ...]]:
         raise UnresolvedCorpusError(
             f"corpus {spec.wordlist_name!r} is not resolved"
         )
-    return [spec.words if t.kind == "word" else t.choices for t in spec.tokens]
+    return [spec.words if t is None else t for t in spec.tokens]
 
 
 def spec_cardinality(spec: KeyspaceSpec) -> int:

@@ -8,15 +8,15 @@ smooth_search finds the packable 13-smooth value nearest nv in log
 space; gen_v then turns a slot packing into a concrete vector around the
 target digest.
 
-The search enumerates exponent pairs for (2, 3) against a sorted table
-of (5, 7, 11, 13) products and walks merged nearest neighbors outward,
-so it is exact: the returned value minimizes |ln(value/nv)| among all
-packable 13-smooth numbers, ties broken toward the smaller value.
+The search pairs each (2, 3) product with a sorted table of (5, 7, 11,
+13) products and widens one error window, doubling it, until it holds
+the best packable pair, so it is exact: the returned value minimizes
+|ln(value/nv)| among all packable 13-smooth numbers, ties broken toward
+the smaller value.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
 import re
@@ -34,9 +34,6 @@ from .predicate import (Digest, PredicateVector, cardinality, eval_predicate,
 
 _LN2, _LN3, _LN5, _LN7, _LN11, _LN13 = (math.log(p) for p in (2, 3, 5, 7, 11, 13))
 _TIE_EPS = 1e-9  # float log-error slack before exact rational comparison
-# first errors sorted up front per search; the walk falls back to the full
-# sort in the rare search that gets past them
-_FIRST_PREFIX = 64
 DEFAULT_TOLERANCE = 0.05
 
 
@@ -106,14 +103,6 @@ class WidenToleranceError(ValueError):
         )
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return Fraction(x)  # floats convert exactly
-
-
 def _ln_fraction(x: Fraction) -> float:
     return math.log(x.numerator) - math.log(x.denominator)
 
@@ -122,7 +111,7 @@ def plan_nv(keyspace_size: int, r, digest_length: int) -> PlanParameters:
     """nv = r * 16^l / |DS|, kept exact as a rational."""
     if keyspace_size < 1:
         raise ValueError("keyspace_size must be >= 1")
-    r = _as_fraction(r)
+    r = Fraction(r)  # floats convert exactly
     if r <= 0:
         raise ValueError("r must be positive")
     nv = r * Fraction(16 ** digest_length, keyspace_size)
@@ -197,8 +186,8 @@ class _SmoothGroups:
     queries ln(nv) - log arrive ascending and numpy's binary search
     narrows from the previous one; and search_limit, per entry the
     right-table bound of the pairs below the zone floor (the zone catalog
-    serves those above it), with a memoryview for scalar reads.  They add
-    about 0.5 MB at l = 64.  left_logs and left_packed stay in build order.
+    serves those above it).  They add about 0.5 MB at l = 64.  left_logs
+    and left_packed stay in build order.
     """
 
     def __init__(self, digest_length: int):
@@ -227,7 +216,6 @@ class _SmoothGroups:
         self.search_limit = np.searchsorted(
             self.right_logs, self.zone_floor - self.search_logs + 1e-6,
             side="right")
-        self.search_limit_view = memoryview(self.search_limit)
 
     def exponents(self, left_idx: int, right_idx: int
                   ) -> tuple[int, int, int, int, int, int]:
@@ -248,11 +236,11 @@ def _groups_for(digest_length: int) -> _SmoothGroups:
 
 
 # Near the 16^l ceiling almost no 13-smooth number is packable (every
-# below-16 slot product wastes capacity), so a neighbor walk would grind
+# below-16 slot product wastes capacity), so the error window would grind
 # through millions of rejects there.  But the packable values in that
 # band have a closed form: 16^(l-k) times k slot products f_i, where the
 # total capacity deficit sum(ln(16/f_i)) is below the band depth.  That
-# is a small, enumerable catalog; the walk handles everything deeper.
+# is a small, enumerable catalog; the window handles everything deeper.
 _ZONE_DEPTH = 2.0
 
 
@@ -309,15 +297,6 @@ def _zone_for(digest_length: int) -> _ZoneCatalog:
     return _ZONE_CACHE[digest_length]
 
 
-def _stable_head(values: np.ndarray, k: int) -> np.ndarray:
-    """The first entries of np.argsort(values, kind="stable"): every index
-    whose value is at most the k-th smallest (ties included), found by a
-    partition and sorted stably in index order."""
-    kth = min(k, len(values)) - 1
-    head = np.flatnonzero(values <= np.partition(values, kth)[kth])
-    return head[np.argsort(values[head], kind="stable")]
-
-
 def smooth_search(nv_target, digest_length: int,
                   tolerance: float = DEFAULT_TOLERANCE) -> SmoothSearchResult:
     """Best packable 13-smooth approximation of nv_target.
@@ -325,97 +304,33 @@ def smooth_search(nv_target, digest_length: int,
     Raises WidenToleranceError (carrying the nearest packable candidate)
     if nothing lands within |ln(value/nv_target)| <= tolerance.
     """
-    target = _as_fraction(nv_target)
+    target = Fraction(nv_target)
     if target < 1:
         raise ValueError("nv_target must be >= 1")
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
     groups = _groups_for(digest_length)
     ln_target = _ln_fraction(target)
-    zone_floor = groups.zone_floor
 
-    # ascending, since search_logs descends.  The left order decides only
-    # the order in which the walk visits pairs of equal error, not its
-    # result: it visits every packable pair within _TIE_EPS of the best
-    # and takes the exact minimum over them.
+    # ascending, since search_logs descends; the left order decides only
+    # which of two pairs of equal error the window visits first
     resid = ln_target - groups.search_logs
     right_logs = groups.right_logs
     # pairs above the zone floor are the catalog's job; excluding them
-    # here keeps near-ceiling targets from flooding the walk
+    # here keeps near-ceiling targets from flooding the window
     limit = groups.search_limit
     pos = np.minimum(np.searchsorted(right_logs, resid), limit)
-
-    # Per left entry, walk right neighbors outward from the insertion
-    # point; the per-entry error sequence is nondecreasing, so a global
-    # merge visits all admissible (left, right) pairs in |log error| order.
-    lo0 = pos - 1
-    hi0 = pos
-    n_right = len(right_logs)
-    err_lo = np.where(lo0 >= 0,
-                      resid - right_logs[np.clip(lo0, 0, n_right - 1)], np.inf)
-    err_hi = np.where(hi0 < limit,
-                      right_logs[np.clip(hi0, 0, n_right - 1)] - resid, np.inf)
-    take_lo = err_lo <= err_hi
-    err0 = np.where(take_lo, err_lo, err_hi)
-    # the walk pops about two first errors per search: sort only a head
-    order = _stable_head(err0, _FIRST_PREFIX)
-    err0_sorted = err0[order]
-
-    # the ring walk reads single elements, where numpy scalar indexing
-    # would dominate the cost; memoryviews read them as plain Python
-    # numbers without a list of every entry
-    rlogs = memoryview(right_logs)
-    rresid = memoryview(resid)
-    rlimit = groups.search_limit_view
-
-    def advance(i: int, lo: int, hi: int):
-        # next neighbor for left entry i given ring pointers; None when spent
-        r = rresid[i]
-        lim = rlimit[i]
-        if lo < 0 and hi >= lim:
-            return None
-        if hi >= lim or (lo >= 0 and r - rlogs[lo] <= rlogs[hi] - r):
-            return r - rlogs[lo], i, lo, lo - 1, hi
-        return rlogs[hi] - r, i, hi, lo, hi + 1
-
-    overflow: list[tuple] = []
-    first_at = 0
-    n_left = len(resid)
-
-    def pop_next():
-        nonlocal first_at, order, err0_sorted
-        if first_at == len(order) < n_left:
-            # the walk used up the sorted head: take the full stable sort,
-            # whose head it is
-            order = np.argsort(err0, kind="stable")
-            err0_sorted = err0[order]
-        take_first = first_at < n_left and (
-            not overflow or err0_sorted[first_at] <= overflow[0][0])
-        if take_first:
-            i = int(order[first_at])
-            first_at += 1
-            if take_lo[i]:
-                cand = (float(err0[i]), i, int(lo0[i]), int(lo0[i]) - 1,
-                        int(hi0[i]))
-            else:
-                cand = (float(err0[i]), i, int(hi0[i]), int(lo0[i]),
-                        int(hi0[i]) + 1)
-        elif overflow:
-            cand = heapq.heappop(overflow)
-        else:
-            return None
-        if math.isinf(cand[0]):
-            return None  # only spent rings remain
-        nxt = advance(cand[1], cand[3], cand[4])
-        if nxt is not None:
-            heapq.heappush(overflow, nxt)
-        return cand
+    # per left entry, the error of its nearest pair
+    near = np.minimum(
+        np.where(pos > 0, resid - right_logs[np.maximum(pos - 1, 0)], np.inf),
+        np.where(pos < limit, right_logs[np.minimum(pos, len(right_logs) - 1)]
+                 - resid, np.inf))
 
     best: tuple[float, SmoothFactorization] | None = None
     ties: list[SmoothFactorization] = []
 
     # seed best from the near-ceiling catalog when the target can reach it
-    if ln_target > zone_floor - 1.0:
+    if ln_target > groups.zone_floor - 1.0:
         zone = _zone_for(digest_length)
         errs = np.abs(zone.logs - ln_target)
         z_best = float(errs.min())
@@ -426,39 +341,55 @@ def smooth_search(nv_target, digest_length: int,
             else:
                 ties.append(fact)
 
+    # Each round takes the pairs within error t that no earlier round took,
+    # in error order, so the rounds visit pairs in |log error| order as far
+    # as best + _TIE_EPS.  A pair is new unless its row was live last round
+    # and it lay in that round's search range: testing the range, not the
+    # error, lets no pair slip between two rounds when resid -+ t rounds.
+    t, prev_t = float(near.min()), -math.inf
     while True:
-        cand = pop_next()
-        if cand is None:
+        rows = np.flatnonzero(near <= t)
+        r = resid[rows]
+        lo = np.searchsorted(right_logs, r - t)
+        hi = np.minimum(np.searchsorted(right_logs, r + t, side="right"),
+                        limit[rows])
+        counts = np.maximum(hi - lo, 0)
+        i = np.repeat(rows, counts)
+        j = np.arange(len(i)) + np.repeat(lo + counts - np.cumsum(counts),
+                                          counts)
+        ri, rj = resid[i], right_logs[j]
+        new = (near[i] > prev_t) | (rj < ri - prev_t) | (rj > ri + prev_t)
+        i, j, err = i[new], j[new], np.abs(ri[new] - rj[new])
+        by_err = np.argsort(err, kind="stable")
+        for e, left, right in zip(err[by_err].tolist(), i[by_err].tolist(),
+                                  j[by_err].tolist()):
+            if best is not None and e > best[0] + _TIE_EPS:
+                break
+            exps = groups.exponents(left, right)
+            if pack_into_slots(exps, digest_length) is None:
+                continue
+            fact = SmoothFactorization.from_exponents(exps)
+            if best is None or e < best[0] - _TIE_EPS:
+                if best is not None:
+                    ties.append(best[1])
+                best = (e, fact)
+            else:
+                ties.append(fact)
+        if best is not None and best[0] + _TIE_EPS <= t or t > groups.cap:
             break
-        err, i, j = cand[0], cand[1], cand[2]
-        if best is not None and err > best[0] + _TIE_EPS:
-            break
-        exps = groups.exponents(i, j)
-        slots = pack_into_slots(exps, digest_length)
-        if slots is None:
-            continue
-        fact = SmoothFactorization.from_exponents(exps)
-        if best is None or err < best[0] - _TIE_EPS:
-            if best is not None:
-                ties.append(best[1])
-            best = (err, fact)
-        else:
-            ties.append(fact)
+        # from an exact hit (t = 0) step straight to _TIE_EPS
+        prev_t, t = t, max(2 * t, _TIE_EPS)
+        if best is not None:
+            t = min(t, best[0] + _TIE_EPS)
 
     if best is None:
         raise RuntimeError("smooth search found no packable value")
 
-    fact = best[1]
-    if ties:
-        def exact_key(f: SmoothFactorization):
-            ratio = Fraction(f.value) / target
-            dist = ratio if ratio >= 1 else 1 / ratio
-            return (dist, f.value)
+    def exact_key(f: SmoothFactorization):
+        ratio = Fraction(f.value) / target
+        return (ratio if ratio >= 1 else 1 / ratio, f.value)
 
-        for tie_fact in ties:
-            if exact_key(tie_fact) < exact_key(fact):
-                fact = tie_fact
-
+    fact = min([best[1], *ties], key=exact_key)
     slots = pack_into_slots(fact.exponents, digest_length)
     assert slots is not None
 
