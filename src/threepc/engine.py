@@ -6,10 +6,10 @@ max(n_workers, ceil(|DS| / keyspace._BLOCK_CAP)) contiguous index ranges
 whose sizes differ by at most one, made as they are used (``_ranges``).
 Each range is one candidate list, one call of the algorithm's block
 kernel (``hashers.block_fn``) and one ``sink.write_batch`` of its hits, so
-a kernel's working memory and the hits held in the serial path stay
-within one batch.  The kernel only hashes: it returns the batch's digest
-matrix, one row per hashed candidate, and the block indices of its rows
-when it skipped some (NTLM skips candidates that are not UTF-8).
+a kernel's working memory stays within one batch and the hits held
+within a batch per worker.  The kernel only hashes: it returns the
+batch's digest matrix, one row per hashed candidate, and the block
+indices of its rows when it skipped some (NTLM skips non-UTF-8 ones).
 ``_scan_range`` alone applies the predicate filter, once per batch as
 numpy table lookups, and pairs each kept row with its password.
 
@@ -20,9 +20,9 @@ only, so the cost per candidate is about one column gather regardless of
 decoy-set size.  ``compile_checker`` probes the same tables for a single
 digest.
 
-With several workers the ranges are scanned in a forked pool; each pool
-receives its job through its worker initializer, so concurrent jobs in
-one process stay apart.
+With n workers, forked worker k takes the job as arguments, scans ranges
+k, k + n, ... and sends each result down its own pipe, read in range
+order, so a worker blocks once it is one result ahead of the sink.
 
 The sink receives pairs in keyspace enumeration order at any worker
 count: kernels return rows in block order and ranges are consumed in
@@ -31,6 +31,7 @@ index order, so a sink can stream its output byte-reproducibly.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import signal
 import time
@@ -172,26 +173,22 @@ def _scan_range(v: PredicateVector, spec: keyspace.KeyspaceSpec,
     return stop - start, len(batch) - len(m), hits
 
 
-# the job of this pool worker process, set once by _init_worker
-_WORKER_JOB: tuple | None = None
-
-
-def _init_worker(v: PredicateVector, spec: keyspace.KeyspaceSpec,
-                 algo_id: str) -> None:
-    global _WORKER_JOB
-    # A SIGTERM handler inherited from the parent (threepc-server raises
-    # SystemExit from one) can leave a worker blocked in a lock wait alive
-    # through Pool.terminate(), and the job then never finishes.  The
-    # parent forks with SIGTERM blocked, so one sent before this point
-    # waits for the default action.
+def _worker(conn, v: PredicateVector, spec: keyspace.KeyspaceSpec,
+            algo_id: str, k: int, n_workers: int) -> None:
+    """Send each result of ranges k, k + n_workers, ... down conn, in order."""
+    # An inherited SIGTERM handler (threepc-server raises SystemExit from
+    # one) can keep a worker blocked in a lock wait alive through the
+    # SIGTERM of multiprocessing's exit handler.  The parent forks with
+    # SIGTERM blocked, so one sent before this point gets the default.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
-    _WORKER_JOB = (v, spec, algo_id)
-
-
-def _range_worker(rng: tuple[int, int]):
-    v, spec, algo_id = _WORKER_JOB
-    return _scan_range(v, spec, algo_id, rng[0], rng[1])
+    mine = itertools.islice(_ranges(keyspace.spec_cardinality(spec),
+                                    n_workers), k, None, n_workers)
+    try:
+        for a, b in mine:
+            conn.send(_scan_range(v, spec, algo_id, a, b))
+    except Exception as exc:
+        conn.send(exc)
 
 
 def crack(v: PredicateVector, spec: keyspace.KeyspaceSpec, algo_id: str,
@@ -228,45 +225,59 @@ def crack_parallel(v: PredicateVector, spec: keyspace.KeyspaceSpec,
     hashed = skipped = hits = 0
     last_progress = 0
 
-    def consume(result: tuple[int, int, list[tuple[bytes, bytes]]]) -> None:
-        nonlocal hashed, skipped, hits, last_progress
-        range_hashed, range_skipped, pairs = result
-        hashed += range_hashed
-        skipped += range_skipped
-        sink.write_batch(pairs)
-        hits += len(pairs)
-        if progress and hashed - last_progress >= PROGRESS_EVERY:
-            last_progress = hashed
-            elapsed = time.perf_counter() - start_time
-            rate = hashed / max(elapsed, 1e-9)
-            progress(hashed, rate, (total - hashed) / rate)
-
     def report(partial: bool = False) -> CrackReport:
         elapsed = time.perf_counter() - start_time
         return CrackReport(hashed, hits, elapsed,
                            hashed / max(elapsed, 1e-9), skipped, partial)
 
+    workers = []  # (pipe read end, process) of each forked worker
     try:
-        if n_workers == 1 or total < 2:
-            for a, b in ranges:
-                consume(_scan_range(v, spec, algo_id, a, b))
-        else:
-            # fork hands the initializer's arguments to each worker
-            # without pickling them; SIGTERM stays blocked from the fork
-            # until _init_worker has reset its handler
+        if n_workers > 1 and total > 1:
+            # fork hands each worker its job without pickling it; SIGTERM
+            # stays blocked from the fork until _worker has reset its handler
             ctx = multiprocessing.get_context("fork")
             mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
             try:
-                pool = ctx.Pool(n_workers, initializer=_init_worker,
-                                initargs=(v, spec, algo_id))
+                for k in range(n_workers):
+                    conn, send_end = ctx.Pipe(duplex=False)
+                    proc = ctx.Process(target=_worker, daemon=True, args=(
+                        send_end, v, spec, algo_id, k, n_workers))
+                    proc.start()
+                    workers.append((conn, proc))
+                    send_end.close()  # conn reads EOF once proc is gone
             finally:
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            with pool:
-                for result in pool.imap(_range_worker, ranges):
-                    consume(result)
+        for k, (a, b) in enumerate(ranges):
+            if not workers:
+                result = _scan_range(v, spec, algo_id, a, b)
+            else:
+                conn, proc = workers[k % n_workers]
+                try:
+                    result = conn.recv()
+                except EOFError:
+                    proc.join()
+                    raise RuntimeError(f"worker {k % n_workers} died with "
+                                       f"exit code {proc.exitcode}")
+                if isinstance(result, Exception):
+                    raise result
+            range_hashed, range_skipped, pairs = result
+            hashed += range_hashed
+            skipped += range_skipped
+            sink.write_batch(pairs)
+            hits += len(pairs)
+            if progress and hashed - last_progress >= PROGRESS_EVERY:
+                last_progress = hashed
+                elapsed = time.perf_counter() - start_time
+                rate = hashed / max(elapsed, 1e-9)
+                progress(hashed, rate, (total - hashed) / rate)
     except (Exception, KeyboardInterrupt) as exc:
         raise EngineAbortError(f"cracking aborted: {exc}", report(partial=True)
                                ) from exc
+    finally:
+        for conn, proc in workers:
+            proc.kill()
+            proc.join()
+            conn.close()
     return report()
 
 

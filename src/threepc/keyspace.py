@@ -266,7 +266,7 @@ def spec_cardinality(spec: KeyspaceSpec) -> int:
     """Exact |DS|, computable before enumeration.
 
     Read from the spec's layout, so processes forked after this call (the
-    engine's pool) inherit the layout built: none waits on
+    engine's workers) inherit the layout built: none waits on
     cached_property's lock, which another thread may hold at the fork.
     """
     return spec._layout[0]

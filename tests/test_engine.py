@@ -1,5 +1,9 @@
+import multiprocessing
+import os
 import random
 import signal
+import subprocess
+import sys
 import threading
 from unittest import mock
 
@@ -287,7 +291,8 @@ class TestCrack:
         assert report.skipped_count == 1
         assert report.hit_count == 2
 
-    def test_sink_failure_aborts_with_partial_report(self):
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_sink_failure_aborts_with_partial_report(self, n_workers):
         spec = keyspace.make_keyspace("mask:?d?d?d?d")
 
         class FailingSink:
@@ -295,8 +300,10 @@ class TestCrack:
                 raise OSError("disk full")
 
         with pytest.raises(EngineAbortError) as err:
-            crack(zk_vector(8), spec, "crc32", FailingSink())
+            run_in_thread(lambda: crack_parallel(
+                zk_vector(8), spec, "crc32", FailingSink(), n_workers), 30)
         assert err.value.report.partial
+        assert not multiprocessing.active_children()
 
 
 class TestCrackParallel:
@@ -430,10 +437,90 @@ class TestCrackParallel:
             assert report.hit_count == len(pairs)
             assert report.hashed_count == len(words) * 320
 
+    @pytest.mark.parametrize("failure", ["raise", "exit"])
+    def test_worker_failure_aborts_with_partial_report(self, monkeypatch,
+                                                        failure):
+        def probe(block):
+            if b"5000" in block:
+                if failure == "exit":
+                    os._exit(3)
+                raise ValueError("kernel failed")
+            return np.zeros((len(block), 4), dtype=np.uint8), None
+
+        # 15 ranges; 5000 is in range 7, which worker 1 of 2 scans
+        monkeypatch.setattr(keyspace, "_BLOCK_CAP", 700)
+        monkeypatch.setattr(hashers, "block_fn", lambda algo_id: probe)
+        spec = keyspace.make_keyspace("mask:?d?d?d?d")
+        sink = ListSink()
+        with pytest.raises(EngineAbortError) as err:
+            run_in_thread(lambda: crack_parallel(zk_vector(8), spec, "crc32",
+                                                 sink, n_workers=2), 30)
+        assert ("kernel failed" if failure == "raise"
+                else "worker 1 died with exit code 3") in str(err.value)
+        # ranges 0-6 reached the sink, in order, and nothing after them
+        report = err.value.report
+        assert report.partial
+        assert report.hashed_count == report.hit_count == 7 * 10 ** 4 // 15
+        assert [pw for pw, _ in sink.pairs] == [
+            b"%04d" % i for i in range(report.hashed_count)]
+        assert not multiprocessing.active_children()
+
+    def test_more_workers_than_ranges(self):
+        # two candidates make two ranges, so the third worker gets none
+        spec = keyspace.make_keyspace("wordlist:w", words=(b"a", b"b"))
+        pairs, _ = oracle_pairs(zk_vector(8), spec, "crc32")
+        sink = ListSink()
+        report = run_in_thread(lambda: crack_parallel(
+            zk_vector(8), spec, "crc32", sink, n_workers=3), 30)
+        assert sink.pairs == pairs
+        assert report.hashed_count == report.hit_count == 2
+        assert not multiprocessing.active_children()
+
     def test_workers_must_be_positive(self):
         spec = keyspace.make_keyspace("mask:?d")
         with pytest.raises(ValueError):
             crack_parallel(zk_vector(8), spec, "crc32", ListSink(), 0)
+
+
+# Run in a process of its own, so that the peak RSS is this job's alone.
+SLOW_SINK_JOB = """
+import resource, time
+from threepc import engine, keyspace
+from threepc.predicate import zk_vector
+
+words = tuple(b"%07d" % i for i in range(2_000_000))
+spec = keyspace.make_keyspace("wordlist:w", words=words)
+
+
+class SlowSink:
+    pairs = 0
+
+    def write_batch(self, pairs):
+        self.pairs += len(pairs)
+        time.sleep(0.02)
+
+
+sink = SlowSink()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+engine.crack_parallel(zk_vector(8), spec, "crc32", sink, n_workers=2)
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(sink.pairs, (after - before) / 1024)
+"""
+
+
+class TestBoundedMemory:
+    def test_slow_sink_holds_few_hits(self):
+        # every candidate is a hit and the sink is slower than two
+        # workers; the parent must not queue the finished ranges
+        src = os.path.dirname(os.path.dirname(engine.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", SLOW_SINK_JOB], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        pairs, growth_mib = proc.stdout.split()
+        assert int(pairs) == 2_000_000
+        assert float(growth_mib) < 32
 
 
 class TestStatisticalTargeting:
