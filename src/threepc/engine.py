@@ -5,13 +5,16 @@ One batch is the unit of work.  ``crack_parallel`` cuts the keyspace into
 max(n_workers, ceil(|DS| / keyspace._BLOCK_CAP)) contiguous index ranges
 whose sizes differ by at most one, made as they are used (``_ranges``).
 Each range is one candidate list, one call of the algorithm's block
-kernel (``hashers.block_fn``) and one ``sink.write_batch`` of its hits, so
+kernel (``hashers.block_fn``) and one ``sink.write_hits`` of its hits, so
 a kernel's working memory stays within one batch and the hits held
 within a batch per worker.  The kernel only hashes: it returns the
 batch's digest matrix, one row per hashed candidate, and the block
 indices of its rows when it skipped some (NTLM skips non-UTF-8 ones).
 ``_scan_range`` alone applies the predicate filter, once per batch as
-numpy table lookups, and pairs each kept row with its password.
+numpy table lookups, and returns the kept rows as one ``potfile.Hits``:
+their digest matrix, and their passwords joined in row order.  No
+per-hit tuple is made; the batch crosses the worker pipes as three
+buffers.
 
 The predicate is compiled to per-byte lookup tables (``_byte_tables``),
 ordered most restrictive first.  ``compile_filter`` looks the first one
@@ -24,7 +27,7 @@ With n workers, forked worker k takes the job as arguments, scans ranges
 k, k + n, ... and sends each result down its own pipe, read in range
 order, so a worker blocks once it is one result ahead of the sink.
 
-The sink receives pairs in keyspace enumeration order at any worker
+The sink receives rows in keyspace enumeration order at any worker
 count: kernels return rows in block order and ranges are consumed in
 index order, so a sink can stream its output byte-reproducibly.
 """
@@ -41,13 +44,14 @@ from typing import Callable, Iterator, Protocol
 import numpy as np
 
 from . import hashers, keyspace
+from .potfile import Hits
 from .predicate import PredicateVector
 
 PROGRESS_EVERY = 10_000_000
 
 
 class Sink(Protocol):
-    def write_batch(self, pairs: list[tuple[bytes, bytes]]) -> None: ...
+    def write_hits(self, hits: Hits) -> None: ...
 
 
 @dataclass
@@ -157,7 +161,7 @@ def _ranges(total: int, n_workers: int) -> Iterator[tuple[int, int]]:
 
 def _scan_range(v: PredicateVector, spec: keyspace.KeyspaceSpec,
                 algo_id: str, start: int, stop: int
-                ) -> tuple[int, int, list[tuple[bytes, bytes]]]:
+                ) -> tuple[int, int, Hits]:
     """Hash candidates [start, stop) in one kernel call and filter the
     digest matrix once; return (hashed, skipped, hits in block order)."""
     batch: list[bytes] = []
@@ -166,10 +170,10 @@ def _scan_range(v: PredicateVector, spec: keyspace.KeyspaceSpec,
         batch += [prefix + s for s in part] if prefix else part
     m, hashed = hashers.block_fn(algo_id)(batch)
     rows = compile_filter(v)(m)
-    digests = m[rows].view(f"V{m.shape[1]}").ravel().tolist()
+    digests = m[rows]
     if hashed is not None:
         rows = hashed[rows]
-    hits = [(batch[i], d) for i, d in zip(rows.tolist(), digests)]
+    hits = Hits.from_rows(digests, [batch[i] for i in rows.tolist()])
     return stop - start, len(batch) - len(m), hits
 
 
@@ -260,11 +264,11 @@ def crack_parallel(v: PredicateVector, spec: keyspace.KeyspaceSpec,
                                        f"exit code {proc.exitcode}")
                 if isinstance(result, Exception):
                     raise result
-            range_hashed, range_skipped, pairs = result
+            range_hashed, range_skipped, range_hits = result
             hashed += range_hashed
             skipped += range_skipped
-            sink.write_batch(pairs)
-            hits += len(pairs)
+            sink.write_hits(range_hits)
+            hits += len(range_hits)
             if progress and hashed - last_progress >= PROGRESS_EVERY:
                 last_progress = hashed
                 elapsed = time.perf_counter() - start_time
@@ -282,10 +286,11 @@ def crack_parallel(v: PredicateVector, spec: keyspace.KeyspaceSpec,
 
 
 class ListSink:
-    """Collects pairs in memory (tests, small runs)."""
+    """Collects (password, raw digest) pairs in memory (tests, small
+    runs)."""
 
     def __init__(self):
         self.pairs: list[tuple[bytes, bytes]] = []
 
-    def write_batch(self, pairs: list[tuple[bytes, bytes]]) -> None:
-        self.pairs.extend(pairs)
+    def write_hits(self, hits: Hits) -> None:
+        self.pairs.extend(hits.pairs())

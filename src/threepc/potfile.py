@@ -4,11 +4,16 @@ The digest field is hex of fixed width per algorithm, so the separator
 position is fixed and passwords may contain colons (and a `\r`, which
 stays in the password).  Writers emit lowercase; readers accept either
 case and lowercase it.
+
+Hits travel as one columnar batch, ``Hits``, from the engine through the
+wire to ``PotfileWriter.write_hits``, which builds its lines with numpy
+and no per-hit Python work.
 """
 
 from __future__ import annotations
 
 import binascii
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -21,41 +26,120 @@ class PotfileParseError(ValueError):
         self.line_no = line_no
 
 
+_NEWLINE, _COLON = ord("\n"), ord(":")
+
+
+@dataclass(frozen=True, eq=False)
+class Hits:
+    """A batch of (password, raw digest) rows, held as columns: row i is
+    digests[i] and the lengths[i] bytes of passwords that follow the
+    rows before it.  Batches compare by value; empty ones are equal
+    whatever their width."""
+
+    digests: np.ndarray  # (n, digest bytes) uint8
+    lengths: np.ndarray  # (n,) int64
+    passwords: bytes
+
+    @classmethod
+    def from_rows(cls, digests: np.ndarray, passwords: Sequence[bytes]
+                  ) -> "Hits":
+        """Row i is digests[i] and passwords[i]."""
+        return cls(digests, np.fromiter(map(len, passwords), np.int64,
+                                        len(passwords)),
+                   b"".join(passwords))
+
+    @classmethod
+    def from_pairs(cls, pairs: Sequence[tuple[bytes, bytes]]) -> "Hits":
+        """The batch of (password, raw digest) pairs, in their order."""
+        digests = [digest for _, digest in pairs]
+        if len(set(map(len, digests))) > 1:
+            raise ValueError("digests of different widths in one batch")
+        matrix = np.frombuffer(b"".join(digests), np.uint8).reshape(
+            len(pairs), len(digests[0]) if pairs else 0)
+        return cls.from_rows(matrix, [password for password, _ in pairs])
+
+    def __reduce__(self):
+        # as three buffers: a forked worker pickles one batch per range,
+        # and numpy's own pickling touches more of the parent's pages
+        return _hits_from_buffers, (self.digests.shape,
+                                    self.digests.tobytes(),
+                                    self.lengths.tobytes(), self.passwords)
+
+    def __len__(self) -> int:
+        return len(self.digests)
+
+    @property
+    def width(self) -> int:
+        """Digest bytes per row."""
+        return self.digests.shape[1]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Hits):
+            return NotImplemented
+        return (len(self) == len(other)
+                and self.passwords == other.passwords
+                and np.array_equal(self.lengths, other.lengths)
+                and self.digests.tobytes() == other.digests.tobytes())
+
+    def pairs(self) -> list[tuple[bytes, bytes]]:
+        """(password, raw digest) per row, in row order."""
+        w, raw, pw = self.width, self.digests.tobytes(), self.passwords
+        ends = np.cumsum(self.lengths).tolist()
+        return [(pw[end - n:end], raw[i * w:(i + 1) * w])
+                for i, (n, end) in enumerate(zip(self.lengths.tolist(), ends))]
+
+    def split(self, size: int) -> Iterator["Hits"]:
+        """Consecutive batches of at most size rows; none when empty."""
+        ends = np.cumsum(self.lengths).tolist()
+        for a in range(0, len(self), size):
+            b = min(a + size, len(self))
+            yield Hits(self.digests[a:b], self.lengths[a:b],
+                       self.passwords[ends[a - 1] if a else 0:ends[b - 1]])
+
+    def lines(self) -> bytes:
+        """`<digest-hex>:<password>\\n` per row, lowercase, in row order."""
+        n, w = self.digests.shape
+        fixed = np.empty((n, 2 * w + 2), np.uint8)  # hex, ':' and '\n'
+        fixed[:, :-2] = np.frombuffer(binascii.hexlify(
+            self.digests.tobytes()), np.uint8).reshape(n, 2 * w)
+        fixed[:, -2] = _COLON
+        fixed[:, -1] = _NEWLINE
+        out = np.empty(fixed.size + len(self.passwords), np.uint8)
+        # password byte k of row i goes to k + i * (2w + 2) + 2w + 1
+        at = np.repeat(np.arange(n) * (2 * w + 2) + (2 * w + 1), self.lengths)
+        at += np.arange(len(at))
+        out[at] = np.frombuffer(self.passwords, np.uint8)
+        rest = np.ones(len(out), bool)
+        rest[at] = False
+        out[rest] = fixed.ravel()
+        return out.tobytes()
+
+
+def _hits_from_buffers(shape: tuple[int, int], digests: bytes,
+                       lengths: bytes, passwords: bytes) -> Hits:
+    return Hits(np.frombuffer(digests, np.uint8).reshape(shape),
+                np.frombuffer(lengths, np.int64), passwords)
+
+
 class PotfileWriter:
-    """Append-oriented sink for (password, raw-digest) pairs."""
+    """Append-oriented sink for hit batches."""
 
     def __init__(self, path: str | Path):
         self._fh = open(path, "wb")
         self.pairs_written = 0
 
-    def write_batch(self, pairs: list[tuple[bytes, bytes]]) -> None:
-        """Append one record per (password, raw digest) pair; a batch with
-        a password that holds a newline is refused whole (ValueError), as
-        no record can hold one."""
-        self._write_lines([binascii.hexlify(digest) + b":" + password
-                           for password, digest in pairs])
-
-    def write_hex_batch(self, records: Sequence[tuple[str, bytes]],
-                        hex_width: int) -> None:
-        """Append one record per (digest hex, password) pair, as a server
-        sends them, with the digest in lowercase.  The batch is refused
-        whole (ValueError) if a digest is not hex_width hex digits or a
-        password holds a newline."""
-        digests = [digest_hex for digest_hex, _ in records]
-        if set(map(len, digests)) - {hex_width}:
-            raise ValueError(f"a digest is not {hex_width} hex digits wide")
-        binascii.unhexlify("".join(digests))  # not hex or not ASCII: ValueError
-        self._write_lines([digest_hex.lower().encode() + b":" + password
-                           for digest_hex, password in records])
-
-    def _write_lines(self, lines: list[bytes]) -> None:
-        if not lines:
-            return
-        out = b"\n".join(lines) + b"\n"
-        if out.count(b"\n") != len(lines):
+    def write_hits(self, hits: Hits) -> None:
+        """Append one record per row; a batch with a password that holds
+        a newline is refused whole (ValueError), as no record can hold
+        one."""
+        if hits.passwords.count(b"\n"):
             raise ValueError("a password contains a newline")
-        self._fh.write(out)
-        self.pairs_written += len(lines)
+        self._fh.write(hits.lines())
+        self.pairs_written += len(hits)
+
+    def write_batch(self, pairs: Sequence[tuple[bytes, bytes]]) -> None:
+        """write_hits of the batch of (password, raw digest) pairs."""
+        self.write_hits(Hits.from_pairs(pairs))
 
     def flush(self) -> None:
         self._fh.flush()
@@ -70,7 +154,6 @@ class PotfileWriter:
         self.close()
 
 
-_NEWLINE, _COLON = ord("\n"), ord(":")
 # 256-entry byte tables, read through numpy views
 _IS_HEX = bytes(c in b"0123456789abcdefABCDEF" for c in range(256))
 _LOWER = bytes.maketrans(b"ABCDEF", b"abcdef")

@@ -7,6 +7,13 @@ no self-describing envelope, so frames are bit-exact testable.  Each
 message's tag and field layout is declared once, in _LAYOUT, which both
 encode_message and decode_payload read.
 
+A CandidateChunk carries one ``potfile.Hits`` batch as columns: a u64
+row count, then three blobs: the raw digests (count x width bytes, row
+after row), the password lengths (``>u4`` each) and the passwords joined
+in row order.  The decoder checks that the three agree with the count;
+the client checks the width against the ack and writes the batch to the
+potfile as it is.
+
 Per connection the exchange is strictly ordered: hash-info request and
 ack, one job submission, zero or more candidate chunks, one completion
 record.  The target digest never appears in any client frame; the only
@@ -24,6 +31,8 @@ import time
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
+
+import numpy as np
 
 from . import engine, hashers, keyspace, potfile
 from .keyspace import DirectoryCorpus, UnresolvedCorpusError
@@ -89,7 +98,13 @@ class JobSubmit:
 
 @dataclass(frozen=True)
 class CandidateChunk:
-    pairs: tuple[tuple[str, bytes], ...]  # (digest_hex, password)
+    hits: potfile.Hits  # a tuple of (digest_hex, password) is converted
+
+    def __post_init__(self):
+        if isinstance(self.hits, tuple):
+            object.__setattr__(self, "hits", potfile.Hits.from_pairs(
+                [(password, bytes.fromhex(digest_hex))
+                 for digest_hex, password in self.hits]))
 
 
 @dataclass(frozen=True)
@@ -97,6 +112,7 @@ class JobDone:
     hashed_count: int
     hit_count: int
     elapsed_ms: int
+    skipped_count: int
 
 
 @dataclass(frozen=True)
@@ -117,12 +133,11 @@ def _pack_str(text: str) -> bytes:
     return _pack_bytes(text.encode("utf-8"))
 
 
-def _pack_pairs(pairs: tuple[tuple[str, bytes], ...]) -> bytes:
-    parts = [_U64.pack(len(pairs))]
-    for digest_hex, password in pairs:
-        parts.append(_pack_str(digest_hex))
-        parts.append(_pack_bytes(password))
-    return b"".join(parts)
+def _pack_hits(hits: potfile.Hits) -> bytes:
+    return b"".join((_U64.pack(len(hits)),
+                     _pack_bytes(hits.digests.tobytes()),
+                     _pack_bytes(hits.lengths.astype(">u4").tobytes()),
+                     _pack_bytes(hits.passwords)))
 
 
 class _PayloadReader:
@@ -155,10 +170,22 @@ class _PayloadReader:
             raise ProtocolViolation("bad-message",
                                     "string field is not UTF-8") from None
 
-    def pairs(self) -> tuple[tuple[str, bytes], ...]:
+    def hits(self) -> potfile.Hits:
         count = self.u64()
-        text, blob = self.text, self.blob
-        return tuple((text(), blob()) for _ in range(count))
+        digests, lengths, passwords = self.blob(), self.blob(), self.blob()
+        width, extra = (divmod(len(digests), count) if count
+                        else (0, len(digests)))
+        ok = not extra and len(lengths) == 4 * count
+        sizes = np.frombuffer(lengths if ok else b"", ">u4").astype(np.int64)
+        if not ok or sizes.sum() != len(passwords):
+            raise ProtocolViolation(
+                "bad-message",
+                f"chunk columns disagree: {count} rows, {len(digests)} "
+                f"digest bytes, {len(lengths)} length bytes, "
+                f"{len(passwords)} password bytes")
+        return potfile.Hits(
+            np.frombuffer(digests, np.uint8).reshape(count, width),
+            sizes, passwords)
 
     def done(self) -> None:
         if self._at != len(self._data):
@@ -176,7 +203,8 @@ class _Kind(NamedTuple):
 _STRING = _Kind(_pack_str, _PayloadReader.text)
 _BLOB = _Kind(_pack_bytes, _PayloadReader.blob)
 _UINT64 = _Kind(_U64.pack, _PayloadReader.u64)
-_PAIR_LIST = _Kind(_pack_pairs, _PayloadReader.pairs)  # u64 count, then pairs
+# u64 count, then the digest, length and password blobs
+_HITS = _Kind(_pack_hits, _PayloadReader.hits)
 
 # The wire format, declared once: each message's type tag and the kinds of
 # its fields in dataclass order, which is also their order on the wire.
@@ -184,8 +212,8 @@ _LAYOUT: dict[type, tuple[int, tuple[_Kind, ...]]] = {
     HashInfoRequest: (0x01, (_STRING,)),
     HashInfoAck: (0x02, (_STRING, _UINT64, _UINT64)),
     JobSubmit: (0x03, (_STRING, _STRING, _STRING, _BLOB)),
-    CandidateChunk: (0x04, (_PAIR_LIST,)),
-    JobDone: (0x05, (_UINT64, _UINT64, _UINT64)),
+    CandidateChunk: (0x04, (_HITS,)),
+    JobDone: (0x05, (_UINT64, _UINT64, _UINT64, _UINT64)),
     ErrorReply: (0x06, (_STRING, _STRING)),
 }
 _BY_TAG = {tag: (cls, kinds) for cls, (tag, kinds) in _LAYOUT.items()}
@@ -254,18 +282,15 @@ def recv_message(sock: socket.socket,
 
 
 class _ChunkSink:
-    """Streams candidate pairs to the client as CandidateChunk frames."""
+    """Streams hit batches to the client as CandidateChunk frames of at
+    most CHUNK_PAIRS rows."""
 
     def __init__(self, sock: socket.socket):
         self._sock = sock
 
-    def write_batch(self, pairs: list[tuple[bytes, bytes]]) -> None:
-        for i in range(0, len(pairs), CHUNK_PAIRS):
-            batch = pairs[i:i + CHUNK_PAIRS]
-            chunk = CandidateChunk(tuple(
-                (digest.hex(), password) for password, digest in batch
-            ))
-            send_message(self._sock, chunk)
+    def write_hits(self, hits: potfile.Hits) -> None:
+        for part in hits.split(CHUNK_PAIRS):
+            send_message(self._sock, CandidateChunk(part))
 
 
 class _JobHandler(socketserver.BaseRequestHandler):
@@ -340,7 +365,7 @@ class _JobHandler(socketserver.BaseRequestHandler):
                                        n_workers=server.workers)
         elapsed_ms = int((time.perf_counter() - start) * 1000)
         send_message(sock, JobDone(report.hashed_count, report.hit_count,
-                                   elapsed_ms))
+                                   elapsed_ms, report.skipped_count))
 
 
 class _TCPServer(socketserver.ThreadingTCPServer):
@@ -412,9 +437,11 @@ def run_job(plan: Plan, endpoint: tuple[str, int], potfile_path: str | Path,
 
     The potfile is opened before the server is contacted, and an OSError
     out of this function comes from the potfile alone: socket failures
-    raise ConnectionLostError.  Malformed candidates and a JobDone whose
-    hit count disagrees with the pairs received, or whose hashed count is
-    not the plan's keyspace size, raise ProtocolViolation.
+    raise ConnectionLostError.  Malformed candidate chunks (columns that
+    disagree, a digest width other than the ack's, a newline in a
+    password) and a JobDone whose hit count disagrees with the rows
+    received, or whose hashed count is not the plan's keyspace size,
+    raise ProtocolViolation.
     On connection loss the partial potfile is kept, and the raised
     error's partial report counts the candidates it holds.
     """
@@ -452,8 +479,13 @@ def _exchange(sock: socket.socket, plan: Plan, out: potfile.PotfileWriter,
     while True:
         msg = recv_message(sock)
         if isinstance(msg, CandidateChunk):
+            if len(msg.hits) and 2 * msg.hits.width != ack.digest_nibbles:
+                raise ProtocolViolation(
+                    "bad-candidate",
+                    f"{msg.hits.width}-byte digests, the ack announced "
+                    f"{ack.digest_nibbles} nibbles")
             try:
-                out.write_hex_batch(msg.pairs, ack.digest_nibbles)
+                out.write_hits(msg.hits)
             except ValueError as exc:
                 raise ProtocolViolation("bad-candidate", str(exc)) from None
         elif isinstance(msg, JobDone):
@@ -471,7 +503,7 @@ def _exchange(sock: socket.socket, plan: Plan, out: potfile.PotfileWriter,
             elapsed = msg.elapsed_ms / 1000.0
             return engine.CrackReport(
                 msg.hashed_count, out.pairs_written, elapsed,
-                msg.hashed_count / max(elapsed, 1e-9))
+                msg.hashed_count / max(elapsed, 1e-9), msg.skipped_count)
         elif isinstance(msg, ErrorReply):
             raise ServerError(msg.code, msg.text)
         else:

@@ -206,16 +206,16 @@ class TestRunOffline:
     def test_aborted_run_keeps_partial_potfile(self, tmp_path, capsys,
                                                monkeypatch):
         plan_path, corpus, _ = make_plan(tmp_path, capsys, r=400.0)
-        write_batch = potfile.PotfileWriter.write_batch
+        write_hits = potfile.PotfileWriter.write_hits
         # 2,000 candidates in 8 ranges, so the run has a batch to abort
         monkeypatch.setattr(keyspace, "_BLOCK_CAP", 256)
 
-        def fail_after_first_batch(writer, pairs):
+        def fail_after_first_batch(writer, hits):
             if writer.pairs_written:
                 raise OSError("disk full")
-            write_batch(writer, pairs)
+            write_hits(writer, hits)
 
-        monkeypatch.setattr(potfile.PotfileWriter, "write_batch",
+        monkeypatch.setattr(potfile.PotfileWriter, "write_hits",
                             fail_after_first_batch)
         out = tmp_path / "out.pot"
         assert client_main([
@@ -509,6 +509,30 @@ class TestServerProcess:
         ]) == EXIT_OK
         report = (tmp_path / "net.pot.report").read_text()
         assert "hashed_count = 302\n" in report
+
+    def test_networked_report_counts_skipped_candidates(self, tmp_path,
+                                                        capsys, local_server):
+        # ntlm skips the words that are not UTF-8, on the server as offline
+        words = [b"w%d" % i for i in range(60)] + [
+            "café".encode(), b"\xe9t\xe9", b"lat\xefn", b"\xff"]
+        plan_path, corpus, _ = make_plan(
+            tmp_path, capsys, algo="ntlm", r=40.0, words=words,
+            descriptor="hybrid:corpus:?w?d")
+        host, port = local_server.address
+        reports, pots = [], []
+        for name, transport in (("net", ["--server", f"{host}:{port}"]),
+                                ("off", ["--offline"])):
+            out = tmp_path / f"{name}.pot"
+            assert client_main([
+                "run", "--plan", str(plan_path), "--out", str(out),
+                "--corpus-file", str(corpus), *transport,
+            ]) == EXIT_OK
+            reports.append((tmp_path / f"{name}.pot.report").read_text())
+            pots.append(out.read_bytes())
+        for report in reports:
+            assert "hashed_count = 640\n" in report
+            assert "skipped_count = 30\n" in report
+        assert pots[0] and pots[0] == pots[1]
 
     def test_sigterm_mid_job_leaves_partial_potfile(self, tmp_path, capsys):
         corpus_dir = tmp_path / "corpus"

@@ -22,6 +22,7 @@ from threepc.engine import (
     crack_parallel,
 )
 from threepc.planner import SlotPacking, gen_v
+from threepc.potfile import Hits
 from threepc.predicate import (
     Digest,
     PredicateVector,
@@ -194,8 +195,10 @@ class TestScanRange:
                                         start, stop)
             assert calls == [list(keyspace.enumerate_range(spec, start, stop))]
             assert calls[0] == full[desc][start:stop]
-            assert result == (stop - start, 0,
-                              [(pw, bytes(4)) for pw in calls[0]])
+            assert result == (stop - start, 0, Hits.from_pairs(
+                [(pw, bytes(4)) for pw in calls[0]]))
+            assert result[2].width == 4
+            assert result[2].pairs() == [(pw, bytes(4)) for pw in calls[0]]
 
 
 class TestRanges:
@@ -296,7 +299,7 @@ class TestCrack:
         spec = keyspace.make_keyspace("mask:?d?d?d?d")
 
         class FailingSink:
-            def write_batch(self, pairs):
+            def write_hits(self, hits):
                 raise OSError("disk full")
 
         with pytest.raises(EngineAbortError) as err:
@@ -400,7 +403,7 @@ class TestCrackParallel:
         assert len(sink.pairs) == 100
         assert {d for _, d in sink.pairs} == {b"\x01\x01\x00\x00"}
 
-    @pytest.mark.parametrize("algo_id", ["crc32", "sha256"])
+    @pytest.mark.parametrize("algo_id", ["crc32", "sha256", "ntlm"])
     @pytest.mark.parametrize("n_workers", [1, 2, 3])
     def test_pair_sequence_matches_oracle(self, monkeypatch, algo_id,
                                           n_workers):
@@ -495,8 +498,8 @@ spec = keyspace.make_keyspace("wordlist:w", words=words)
 class SlowSink:
     pairs = 0
 
-    def write_batch(self, pairs):
-        self.pairs += len(pairs)
+    def write_hits(self, hits):
+        self.pairs += len(hits)
         time.sleep(0.02)
 
 

@@ -192,11 +192,15 @@ def kernel_oracle(algo, v, block):
 
 
 def scan_block(algo, v, block):
-    """The engine's scan of one range holding exactly this block."""
+    """The engine's scan of one range holding exactly this block, its
+    hit batch as (password, digest) pairs."""
     spec = keyspace.make_keyspace("wordlist:w", words=block)
     hashed, skipped, hits = engine._scan_range(v, spec, algo, 0, len(block))
     assert hashed == len(block)
-    return hits, skipped
+    assert hits.width == hashers.descriptor(algo).digest_nibbles // 2
+    assert hits.lines() == b"".join(d.hex().encode() + b":" + pw + b"\n"
+                                    for pw, d in hits.pairs())
+    return hits.pairs(), skipped
 
 
 class TestKernels:

@@ -1,8 +1,13 @@
+import binascii
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from threepc import hashers, planner
 from threepc.cli import EXIT_PARSE, client_main
 from threepc.potfile import (
+    Hits,
     PotfileParseError,
     PotfileWriter,
     count_records,
@@ -71,18 +76,50 @@ def test_batch_with_newline_in_password_is_refused_whole(tmp_path):
     assert path.read_bytes() == b"c6bfaba2:first\n"
 
 
-def test_hex_batch_is_lowercased_and_refused_whole_when_malformed(tmp_path):
+def test_newline_refusal_on_columnar_batch(tmp_path):
+    # the newline sits in the last row, after rows that would be written
     path = tmp_path / "out.pot"
+    ok = Hits.from_pairs([(b"ok", bytes.fromhex("00ff00ff"))])
     with PotfileWriter(path) as writer:
-        writer.write_hex_batch([("C6BFABA2", b"pw"), ("00ff00ff", b"a:b")], 8)
-        for bad in (("c6bfabzz", b"pw"), ("c6bfab", b"pw"),
-                    ("c6bfaba2aa", b"pw"), ("c6bfaba١", b"pw"),
-                    ("c6bfaba2", b"two\nlines")):
-            with pytest.raises(ValueError):
-                writer.write_hex_batch([("deadbeef", b"ok"), bad], 8)
-        writer.write_hex_batch([], 8)
-        assert writer.pairs_written == 2
-    assert path.read_bytes() == b"c6bfaba2:pw\n00ff00ff:a:b\n"
+        writer.write_hits(ok)
+        with pytest.raises(ValueError):
+            writer.write_hits(Hits.from_pairs([
+                (b"fine", bytes.fromhex("c6bfaba2")),
+                (b"two\nlines", bytes.fromhex("deadbeef"))]))
+        writer.write_hits(Hits.from_pairs([]))
+        assert writer.pairs_written == 1
+    assert path.read_bytes() == b"00ff00ff:ok\n"
+
+
+def test_pairs_of_mixed_widths_are_refused():
+    with pytest.raises(ValueError):
+        Hits.from_pairs([(b"a", b"\x00" * 4), (b"b", b"\x00" * 5)])
+
+
+# passwords drawn mostly from bytes a line builder could mishandle
+_password = st.binary(max_size=12) | st.lists(
+    st.sampled_from([b":", b"\r", b"\xff", b"", b"a"]),
+    max_size=6).map(b"".join)
+
+
+@pytest.mark.parametrize("width", [4, 16, 32])
+@given(data=st.data())
+def test_lines_match_per_pair_hexlify(width, data):
+    pairs = data.draw(st.lists(st.tuples(_password, st.binary(
+        min_size=width, max_size=width)), max_size=40))
+    hits = Hits.from_pairs(pairs)
+    assert hits.lines() == b"".join(binascii.hexlify(digest) + b":"
+                                    + password + b"\n"
+                                    for password, digest in pairs)
+    assert hits.pairs() == pairs
+    assert len(hits) == len(pairs)
+    assert hits == Hits.from_pairs(list(pairs))
+    # cut anywhere, the parts hold the same rows
+    size = data.draw(st.integers(1, 41))
+    parts = list(hits.split(size))
+    assert [len(part) for part in parts] == [
+        min(size, len(pairs) - a) for a in range(0, len(pairs), size)]
+    assert b"".join(part.lines() for part in parts) == hits.lines()
 
 
 GOOD = b"c6bfaba2:password\n"

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from threepc import hashers, keyspace, planner, protocol
 from threepc.cli import EXIT_OK, EXIT_PROTOCOL, client_main
 from threepc.engine import ListSink, crack
-from threepc.potfile import iter_potfile
+from threepc.potfile import Hits, PotfileWriter, iter_potfile
 from threepc.predicate import parse_vector, serialize_vector, zk_vector
 from threepc.protocol import (
     CandidateChunk,
@@ -37,13 +37,24 @@ texts = st.text(max_size=40)
 blobs = st.binary(max_size=60)
 u64 = st.integers(0, 2 ** 64 - 1)
 
+
+@st.composite
+def hit_batches(draw):
+    width = draw(st.sampled_from([4, 16, 32]))
+    return Hits.from_pairs(draw(st.lists(st.tuples(
+        blobs, st.binary(min_size=width, max_size=width)), max_size=8)))
+
+
+hex_pairs = st.lists(st.tuples(
+    st.binary(min_size=4, max_size=4).map(bytes.hex), blobs), max_size=8)
+
 messages = st.one_of(
     st.builds(HashInfoRequest, texts),
     st.builds(HashInfoAck, texts, u64, u64),
     st.builds(JobSubmit, texts, texts, texts, blobs),
-    st.builds(CandidateChunk,
-              st.lists(st.tuples(texts, blobs), max_size=8).map(tuple)),
-    st.builds(JobDone, u64, u64, u64),
+    st.builds(CandidateChunk, hit_batches()),
+    st.builds(CandidateChunk, hex_pairs.map(tuple)),
+    st.builds(JobDone, u64, u64, u64, u64),
     st.builds(ErrorReply, texts, texts),
 )
 
@@ -92,14 +103,15 @@ class TestFraming:
          "0000001d" "03" "00000004" "6e746c6d" "00000002" "3066"
          "00000007" "6d61736b3a3f64" "00000000"),
         (CandidateChunk(()),
-         "00000008" "04" "0000000000000000"),
+         "00000014" "04" "0000000000000000" "00000000" "00000000" "00000000"),
         (CandidateChunk((("c6bfaba2", b"pw"), ("00ff00ff", b"a:b\xff"))),
-         "0000002e" "04" "0000000000000002"
-         "00000008" "6336626661626132" "00000002" "7077"
-         "00000008" "3030666630306666" "00000004" "613a62ff"),
-        (JobDone(2000, 7, 2 ** 64 - 1),
-         "00000018" "05" "00000000000007d0" "0000000000000007"
-         "ffffffffffffffff"),
+         "0000002a" "04" "0000000000000002"
+         "00000008" "c6bfaba2" "00ff00ff"
+         "00000008" "00000002" "00000004"
+         "00000006" "7077" "613a62ff"),
+        (JobDone(2000, 7, 2 ** 64 - 1, 3),
+         "00000020" "05" "00000000000007d0" "0000000000000007"
+         "ffffffffffffffff" "0000000000000003"),
         (ErrorReply("unknown-corpus", "no corpus named 'café'"),
          "0000002d" "06" "0000000e" "756e6b6e6f776e2d636f72707573"
          "00000017" "6e6f20636f72707573206e616d65642027636166c3a927"),
@@ -110,6 +122,36 @@ class TestFraming:
         frame = bytes.fromhex(frame_hex)
         assert encode_message(msg) == frame
         assert decode_payload(frame[4], frame[5:]) == msg
+
+    def test_hex_pairs_and_batches_make_one_chunk(self):
+        pairs = (("C6BFABA2", b"pw"), ("00ff00ff", b"a:b"))
+        assert CandidateChunk(pairs) == CandidateChunk(Hits.from_pairs(
+            [(b"pw", bytes.fromhex("c6bfaba2")),
+             (b"a:b", bytes.fromhex("00ff00ff"))]))
+
+    @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 16_384])
+    def test_cut_chunks_reassemble_the_potfile(self, tmp_path, n):
+        # a server-side batch of n hits, cut into frames, decoded and
+        # written frame by frame, is the batch's own potfile
+        rng = random.Random(n)
+        hits = Hits.from_pairs([(rng.randbytes(rng.randrange(12)).replace(
+            b"\n", b":"), rng.randbytes(4)) for _ in range(n)])
+        sent = []
+
+        class Wire:
+            def sendall(self, frame):
+                sent.append(frame)
+
+        protocol._ChunkSink(Wire()).write_hits(hits)
+        assert len(sent) == -(-n // protocol.CHUNK_PAIRS)
+        pot = tmp_path / "cut.pot"
+        with PotfileWriter(pot) as out:
+            for frame in sent:
+                chunk = decode_payload(frame[4], frame[5:])
+                assert 0 < len(chunk.hits) <= protocol.CHUNK_PAIRS
+                out.write_hits(chunk.hits)
+            assert out.pairs_written == n
+        assert pot.read_bytes() == hits.lines()
 
     def test_parse_endpoint(self):
         assert parse_endpoint("127.0.0.1:3727") == ("127.0.0.1", 3727)
@@ -220,13 +262,28 @@ class TestServer:
             run_job(plan, ("127.0.0.1", free_port), tmp_path / "z.pot")
 
 
+def chunk_payload(digests, lengths, passwords, count=None):
+    """A CandidateChunk payload built field by field, so that its columns
+    may disagree: count (default: one row per length), then the digest,
+    length (ints, or the blob itself) and password blobs."""
+    if not isinstance(lengths, bytes):
+        lengths = b"".join(n.to_bytes(4, "big") for n in lengths)
+    if count is None:
+        count = len(lengths) // 4
+    return b"".join((count.to_bytes(8, "big"),
+                     len(digests).to_bytes(4, "big"), digests,
+                     len(lengths).to_bytes(4, "big"), lengths,
+                     len(passwords).to_bytes(4, "big"), passwords))
+
+
 @contextmanager
-def scripted_server(pairs, hit_count, connections=1, hashed_count=100):
+def scripted_server(payload, hit_count, connections=1, hashed_count=100):
     """A fake server on a loopback socket: each of its connections gets a
-    valid hash-info ack, one CandidateChunk of pairs, then
-    JobDone(hashed_count, hit_count).  _make_plan's keyspace has 100
-    candidates."""
+    valid hash-info ack for 4-byte digests, one CandidateChunk frame with
+    the raw payload, then JobDone(hashed_count, hit_count).  _make_plan's
+    keyspace has 100 candidates."""
     listener = socket.create_server(("127.0.0.1", 0))
+    frame = struct.pack(">IB", len(payload), 0x04) + payload
 
     def serve():
         for _ in range(connections):
@@ -236,8 +293,8 @@ def scripted_server(pairs, hit_count, connections=1, hashed_count=100):
                     request = recv_message(conn)
                     send_message(conn, HashInfoAck(request.algo_id, 8, 1000))
                     recv_message(conn)
-                    send_message(conn, CandidateChunk(pairs))
-                    send_message(conn, JobDone(hashed_count, hit_count, 1))
+                    conn.sendall(frame)
+                    send_message(conn, JobDone(hashed_count, hit_count, 1, 0))
                 except (OSError, ConnectionLostError):
                     pass  # the client hung up first
 
@@ -249,24 +306,34 @@ def scripted_server(pairs, hit_count, connections=1, hashed_count=100):
         assert not thread.is_alive()
 
 
+PW = bytes.fromhex("c6bfaba2")
+
+
 class TestHostileServer:
-    @pytest.mark.parametrize("pairs, hit_count, hashed_count", [
-        ((("c6bfabzz", b"pw"),), 1, 100),
-        ((("c6bfab", b"pw"),), 1, 100),
-        ((("c6bfaba2", b"two\nlines"),), 1, 100),
-        ((("c6bfaba2", b"pw"),), 2, 100),
-        ((("c6bfaba2", b"pw"),), 1, 99),
-    ], ids=["non-hex-digest", "digest-width", "newline-in-password",
+    @pytest.mark.parametrize("payload, hit_count, hashed_count, code", [
+        (chunk_payload(PW + b"\x00\x00\x00", [2, 2], b"pwpw"), 2, 100,
+         "bad-message"),
+        (chunk_payload(PW + b"\x00", [2], b"pw"), 1, 100, "bad-candidate"),
+        (chunk_payload(PW, [2], b"pw", count=2), 2, 100, "bad-message"),
+        (chunk_payload(PW, b"\x00\x00\x02", b"pw", count=1), 1, 100,
+         "bad-message"),
+        (chunk_payload(PW, [3], b"pw"), 1, 100, "bad-message"),
+        (chunk_payload(PW, [9], b"two\nlines"), 1, 100, "bad-candidate"),
+        (chunk_payload(PW, [2], b"pw"), 2, 100, "bad-count"),
+        (chunk_payload(PW, [2], b"pw"), 1, 99, "bad-count"),
+    ], ids=["digest-blob", "digest-width", "lengths-blob",
+            "lengths-blob-ragged", "lengths-sum", "newline-in-password",
             "hit-count", "hashed-count"])
     def test_malformed_results_are_protocol_violations(
-            self, tmp_path, pairs, hit_count, hashed_count):
+            self, tmp_path, payload, hit_count, hashed_count, code):
         plan = _make_plan(seed=12)
         plan_path = tmp_path / "job.plan"
         plan_path.write_text(plan.to_text())
-        with scripted_server(pairs, hit_count, 2,
+        with scripted_server(payload, hit_count, 2,
                              hashed_count) as (host, port):
-            with pytest.raises(ProtocolViolation):
+            with pytest.raises(ProtocolViolation) as err:
                 run_job(plan, (host, port), tmp_path / "a.pot", timeout=10)
+            assert err.value.code == code
             assert client_main([
                 "run", "--plan", str(plan_path), "--out",
                 str(tmp_path / "b.pot"), "--server", f"{host}:{port}",
@@ -274,8 +341,9 @@ class TestHostileServer:
             ]) == EXIT_PROTOCOL
 
     def test_well_formed_results_are_written_in_lowercase(self, tmp_path):
-        pairs = (("C6BFABA2", b"pw"), ("00ff00ff", b"a:b"))
-        with scripted_server(pairs, 2) as endpoint:
+        payload = chunk_payload(PW + bytes.fromhex("00ff00ff"), [2, 3],
+                                b"pwa:b")
+        with scripted_server(payload, 2) as endpoint:
             report = run_job(_make_plan(seed=12), endpoint,
                              tmp_path / "a.pot", timeout=10)
         assert report.hit_count == 2
@@ -288,7 +356,7 @@ class TestHostileServer:
         # server to
         plan = _make_plan(seed=12)
         plan.keyspace_size, plan.expected_candidates = 0, 0.0
-        with scripted_server((("c6bfaba2", b"pw"),), 1,
+        with scripted_server(chunk_payload(PW, [2], b"pw"), 1,
                              hashed_count=12345) as endpoint:
             report = run_job(plan, endpoint, tmp_path / "a.pot", timeout=10)
         assert report.hashed_count == 12345
