@@ -25,7 +25,9 @@ digest.
 
 With n workers, forked worker k takes the job as arguments, scans ranges
 k, k + n, ... and sends each result down its own pipe, read in range
-order, so a worker blocks once it is one result ahead of the sink.
+order, so a worker blocks once it is one result ahead of the sink.  Jobs
+in concurrent threads fork one at a time (``_FORK_LOCK``), so no worker
+holds another job's write end.
 
 The sink receives rows in keyspace enumeration order at any worker
 count: kernels return rows in block order and ranges are consumed in
@@ -37,6 +39,7 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import signal
+import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Protocol
@@ -48,6 +51,11 @@ from .potfile import Hits
 from .predicate import PredicateVector
 
 PROGRESS_EVERY = 10_000_000
+# Held by a job from its first Pipe() to its last send_end.close().  A job
+# that forked inside another's window would hand its workers a copy of that
+# job's write end, and a worker death there would be seen only once those
+# workers exit.
+_FORK_LOCK = threading.Lock()
 
 
 class Sink(Protocol):
@@ -240,17 +248,19 @@ def crack_parallel(v: PredicateVector, spec: keyspace.KeyspaceSpec,
             # fork hands each worker its job without pickling it; SIGTERM
             # stays blocked from the fork until _worker has reset its handler
             ctx = multiprocessing.get_context("fork")
-            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
-            try:
-                for k in range(n_workers):
-                    conn, send_end = ctx.Pipe(duplex=False)
-                    proc = ctx.Process(target=_worker, daemon=True, args=(
-                        send_end, v, spec, algo_id, k, n_workers))
-                    proc.start()
-                    workers.append((conn, proc))
-                    send_end.close()  # conn reads EOF once proc is gone
-            finally:
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            with _FORK_LOCK:
+                mask = signal.pthread_sigmask(signal.SIG_BLOCK,
+                                              {signal.SIGTERM})
+                try:
+                    for k in range(n_workers):
+                        conn, send_end = ctx.Pipe(duplex=False)
+                        proc = ctx.Process(target=_worker, daemon=True, args=(
+                            send_end, v, spec, algo_id, k, n_workers))
+                        proc.start()
+                        workers.append((conn, proc))
+                        send_end.close()  # conn reads EOF once proc is gone
+                finally:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         for k, (a, b) in enumerate(ranges):
             if not workers:
                 result = _scan_range(v, spec, algo_id, a, b)

@@ -1,13 +1,13 @@
 """Pluggable one-way hash backends producing digests from passwords.
 
-Each algorithm has two entry points.  ``raw_fn`` hashes one password and
-serves single digests (client, verifier, tests).  ``block_fn`` is the
-engine's block kernel: ``block_fn(algo)(block) -> (digests, hashed)``
-hashes a list of candidates into an (n_hashed, digest bytes) uint8
-matrix, in block order.  ``hashed`` holds the ascending block indices of
-its rows, or is None when every candidate was hashed; only ntlm skips
-candidates (those that are not UTF-8).  Kernels only hash: the engine
-applies the predicate to the matrix.
+Each algorithm is one block kernel, the package's only code for that
+hash: ``block_fn(algo)(block) -> (digests, hashed)`` hashes a list of
+candidates into an (n_hashed, digest bytes) uint8 matrix, in block
+order.  ``hashed`` holds the ascending block indices of its rows, or is
+None when every candidate was hashed; only ntlm skips candidates (those
+that are not UTF-8).  Kernels only hash: the engine and the verifier
+apply the predicate to the matrix.  ``raw_fn`` hashes one password as a
+one-row block.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._md4 import md4, md4_batch
+from ._md4 import md4_words, padded_words
 from .predicate import Digest
 
 
@@ -41,23 +41,6 @@ class HashAlgoDescriptor:
     digest_nibbles: int
 
 
-def _crc32_raw(password: bytes) -> bytes:
-    return (zlib.crc32(password) & 0xFFFFFFFF).to_bytes(4, "big")
-
-
-def _sha256_raw(password: bytes) -> bytes:
-    return hashlib.sha256(password).digest()
-
-
-def _ntlm_raw(password: bytes) -> bytes:
-    # MD4 over the UTF-16LE form; input bytes must decode as UTF-8
-    try:
-        text = password.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CandidateEncodingError(f"not valid UTF-8: {password!r}") from exc
-    return md4(text.encode("utf-16-le"))
-
-
 # block -> (digest matrix, block indices of its rows or None)
 BlockFn = Callable[[Sequence[bytes]], tuple[np.ndarray, np.ndarray | None]]
 
@@ -68,8 +51,6 @@ def _crc32_block(block: Sequence[bytes]) -> tuple[np.ndarray, None]:
 
 
 def _sha256_block(block: Sequence[bytes]) -> tuple[np.ndarray, None]:
-    # inline rather than through _sha256_raw: a Python call per candidate
-    # costs several percent of the hash
     sha256 = hashlib.sha256
     joined = b"".join([sha256(pw).digest() for pw in block])
     return np.frombuffer(joined, dtype=np.uint8).reshape(-1, 32), None
@@ -82,9 +63,10 @@ _utf16le = codecs.utf_16_le_encode
 
 def _ntlm_block(block: Sequence[bytes]
                 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Skip candidates that are not UTF-8, run MD4 column-wise over each
-    group of equal UTF-16LE length, and scatter each group's digests to
-    its rows of the block-ordered matrix."""
+    """Skip candidates that are not UTF-8, pad each group of equal
+    UTF-16LE length into one word matrix, run MD4 column-wise once over
+    the stacked groups of each block count, and scatter the digests to
+    their rows of the block-ordered matrix."""
     groups: defaultdict[int, tuple[list[int], list[bytes]]] = defaultdict(
         lambda: ([], []))
     skipped: list[int] = []
@@ -97,29 +79,33 @@ def _ntlm_block(block: Sequence[bytes]
         rows, msgs = groups[len(msg)]
         rows.append(i - len(skipped))
         msgs.append(msg)
-    m = np.empty((len(block) - len(skipped), 16), dtype=np.uint8)
+    passes = defaultdict(lambda: ([], []))  # padded width -> rows, words
     for length, (rows, msgs) in groups.items():
-        m[rows] = md4_batch(msgs, length)
+        words = padded_words(msgs, length)
+        pass_rows, pass_words = passes[words.shape[1]]
+        pass_rows += rows
+        pass_words.append(words)
+    m = np.empty((len(block) - len(skipped), 16), dtype=np.uint8)
+    for rows, words in passes.values():
+        m[rows] = md4_words(np.concatenate(words))
     return m, np.delete(np.arange(len(block)), skipped) if skipped else None
 
 
-_REGISTRY: dict[str, tuple[HashAlgoDescriptor, Callable[[bytes], bytes],
-                           BlockFn]] = {}
+_REGISTRY: dict[str, tuple[HashAlgoDescriptor, BlockFn]] = {}
 _MEASURED_RATES: dict[str, float] = {}
 # the fewest hashes a rate measurement may time
 MIN_RATE_BUDGET = 100_000
 
 
-def register_algo(algo_id: str, digest_nibbles: int,
-                  raw_fn: Callable[[bytes], bytes], kernel: BlockFn) -> None:
-    """Register a backend: its one-password function and its block kernel."""
-    _REGISTRY[algo_id] = (HashAlgoDescriptor(algo_id, digest_nibbles), raw_fn,
-                          kernel)
+def register_algo(algo_id: str, digest_nibbles: int, kernel: BlockFn
+                  ) -> None:
+    """Register a backend: its descriptor and its block kernel."""
+    _REGISTRY[algo_id] = (HashAlgoDescriptor(algo_id, digest_nibbles), kernel)
 
 
-register_algo("crc32", 8, _crc32_raw, _crc32_block)
-register_algo("ntlm", 32, _ntlm_raw, _ntlm_block)
-register_algo("sha256", 64, _sha256_raw, _sha256_block)
+register_algo("crc32", 8, _crc32_block)
+register_algo("ntlm", 32, _ntlm_block)
+register_algo("sha256", 64, _sha256_block)
 
 
 def known_algos() -> tuple[str, ...]:
@@ -133,21 +119,29 @@ def descriptor(algo_id: str) -> HashAlgoDescriptor:
         raise UnknownAlgoError(algo_id) from None
 
 
-def raw_fn(algo_id: str) -> Callable[[bytes], bytes]:
-    """The bytes -> raw-digest function for one password."""
+def block_fn(algo_id: str) -> BlockFn:
+    """The block kernel ``block_fn(algo)(block) -> (digests, hashed)``;
+    the engine's hot path."""
     try:
         return _REGISTRY[algo_id][1]
     except KeyError:
         raise UnknownAlgoError(algo_id) from None
 
 
-def block_fn(algo_id: str) -> BlockFn:
-    """The block kernel ``block_fn(algo)(block) -> (digests, hashed)``;
-    the engine's hot path."""
-    try:
-        return _REGISTRY[algo_id][2]
-    except KeyError:
-        raise UnknownAlgoError(algo_id) from None
+def raw_fn(algo_id: str) -> Callable[[bytes], bytes]:
+    """The bytes -> raw-digest function for one password: the kernel over
+    a one-row block.  Raises CandidateEncodingError where the kernel
+    skips the password."""
+    kernel = block_fn(algo_id)
+
+    def raw(password: bytes) -> bytes:
+        m, _ = kernel([password])
+        if not len(m):
+            raise CandidateEncodingError(
+                f"{algo_id} cannot hash {password!r}")
+        return m[0].tobytes()
+
+    return raw
 
 
 def raw_digest(algo_id: str, password: bytes) -> bytes:

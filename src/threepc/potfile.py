@@ -3,7 +3,9 @@
 The digest field is hex of fixed width per algorithm, so the separator
 position is fixed and passwords may contain colons (and a `\r`, which
 stays in the password).  Writers emit lowercase; readers accept either
-case and lowercase it.
+case.  ``PotfileIndex`` reads a file once into the raw digest matrix
+that the hash kernels return and ``Hits`` carries, so the verifier
+compares and filters digests without hex.
 
 Hits travel as one columnar batch, ``Hits``, from the engine through the
 wire to ``PotfileWriter.write_hits``, which builds its lines with numpy
@@ -154,17 +156,21 @@ class PotfileWriter:
         self.close()
 
 
-# 256-entry byte tables, read through numpy views
-_IS_HEX = bytes(c in b"0123456789abcdefABCDEF" for c in range(256))
-_LOWER = bytes.maketrans(b"ABCDEF", b"abcdef")
+# the value of each hex digit byte, either case; 16 for any other byte
+_NIBBLE = np.array([int(chr(c), 16) if chr(c) in "0123456789abcdefABCDEF"
+                    else 16 for c in range(256)], np.uint8)
 
 
 class PotfileIndex:
     """A potfile read once: its bytes, where each line starts and ends,
-    and every digest field, checked and lowercased, as one (n, width)
-    uint8 matrix.  Records are built only when asked for."""
+    and every digest field, checked and decoded, as one (n, width / 2)
+    uint8 matrix of raw digests, the form the hash kernels return.
+    Passwords are sliced out only when asked for."""
 
     def __init__(self, data: bytes, width: int):
+        if width % 2:
+            raise ValueError(f"digest fields of {width} hex digits are not "
+                             "whole bytes")
         buf = np.frombuffer(data, np.uint8)
         ends = np.flatnonzero(buf == _NEWLINE)
         if len(buf) and buf[-1] != _NEWLINE:  # a last line with no newline
@@ -180,13 +186,12 @@ class PotfileIndex:
         checked = int(short[0]) if len(short) else n
         head, ok_head = starts[:checked], ok[:checked]
         ok_head[:] = buf[width:].take(head) == _COLON
-        digests = np.empty((n, width), np.uint8)
-        is_hex = np.frombuffer(_IS_HEX, bool)
-        lower = np.frombuffer(_LOWER, np.uint8)
-        for j in range(width):
-            column = buf[j:].take(head)
-            ok_head &= is_hex.take(column)
-            digests[:checked, j] = lower.take(column)
+        digests = np.empty((n, width // 2), np.uint8)
+        for j in range(width // 2):
+            hi = _NIBBLE.take(buf[2 * j:].take(head))
+            lo = _NIBBLE.take(buf[2 * j + 1:].take(head))
+            ok_head &= (hi | lo) < 16
+            digests[:checked, j] = hi << 4 | lo
         if not ok.all():
             first = int(np.argmin(ok))
             _check_line(data[starts[first]:ends[first]], width, first + 1)
@@ -201,20 +206,15 @@ class PotfileIndex:
     def __len__(self) -> int:
         return len(self.starts)
 
-    def record(self, i: int) -> tuple[int, str, bytes]:
-        """(line_no, digest_hex, password) of the record at row i."""
-        start = int(self.starts[i]) + self.width + 1
-        return (i + 1, self.digests[i].tobytes().decode("ascii"),
-                self.data[start:int(self.ends[i])])
-
-    def rows_with_digest(self, digest_hex: str) -> np.ndarray:
-        """Rows whose digest is digest_hex (lowercase), in file order."""
-        keys = self.digests.view(f"S{self.width}").ravel()
-        return np.flatnonzero(keys == digest_hex.encode("ascii"))
+    def passwords(self, rows: np.ndarray) -> list[bytes]:
+        """The password of each row, in the order given."""
+        data, skip = self.data, self.width + 1
+        return [data[start + skip:end] for start, end
+                in zip(self.starts[rows].tolist(), self.ends[rows].tolist())]
 
     def __iter__(self) -> Iterator[tuple[int, str, bytes]]:
         w, data = self.width, self.data
-        hexes = self.digests.tobytes().decode("ascii")
+        hexes = binascii.hexlify(self.digests.tobytes()).decode("ascii")
         for i, (start, end) in enumerate(zip(self.starts.tolist(),
                                              self.ends.tolist())):
             yield (i + 1, hexes[i * w:(i + 1) * w], data[start + w + 1:end])

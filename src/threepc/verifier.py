@@ -3,7 +3,10 @@ and spot-check re-hashing.
 
 Recorded digests are never trusted: a positive target verdict requires a
 fresh hash of the recorded password to reproduce the target, and spot
-checks re-hash a random sample and re-evaluate the predicate.
+checks re-hash a random sample and re-evaluate the predicate.  Both
+re-hash their rows as one block through the engine's kernel
+(``hashers.block_fn``) and compare raw digest matrices; the spot check
+filters the fresh matrix with the engine's ``compile_filter``.
 """
 
 from __future__ import annotations
@@ -13,8 +16,10 @@ import random
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import hashers, potfile
-from .engine import compile_checker
+import numpy as np
+
+from . import hashers, potfile, predicate
+from .engine import compile_filter
 from .predicate import Digest, LengthMismatchError, PredicateVector
 
 DEFAULT_Z_THRESHOLD = 5.0
@@ -62,6 +67,28 @@ class VerificationVerdict:
         return self.pow_pass and self.spotcheck_pass and not self.forged_lines
 
 
+def _digest_width(algo_id: str, *items: Digest | PredicateVector) -> int:
+    """The algorithm's digest length in nibbles; every item must have it."""
+    width = hashers.descriptor(algo_id).digest_nibbles
+    for item in items:
+        if len(item) != width:
+            raise LengthMismatchError(
+                f"{type(item).__name__} length {len(item)} != {algo_id} "
+                f"digest length {width}")
+    return width
+
+
+def _rehash(index: potfile.PotfileIndex, rows: np.ndarray, algo_id: str
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Re-hash the passwords of the index rows as one block: the positions
+    in rows whose fresh digest reproduces the recorded one, and those
+    fresh digests.  A password the kernel skips fails."""
+    fresh, hashed = hashers.block_fn(algo_id)(index.passwords(rows))
+    at = np.arange(len(rows)) if hashed is None else hashed
+    same = (fresh == index.digests[rows[at]]).all(axis=1)
+    return at[same], fresh[same]
+
+
 def chk_cs(potfile_path: str | Path | potfile.PotfileIndex, target: Digest,
            algo_id: str) -> TargetLookup:
     """Scan the candidate set for the target digest.
@@ -70,24 +97,13 @@ def chk_cs(potfile_path: str | Path | potfile.PotfileIndex, target: Digest,
     password) are flagged, and hash collisions on the target are all
     reported rather than hidden.
     """
-    width = hashers.descriptor(algo_id).digest_nibbles
-    index = potfile.as_index(potfile_path, width)
-    raw = hashers.raw_fn(algo_id)
-    target_hex = target.hex
-    cleartexts: list[bytes] = []
-    forged: list[int] = []
-    for row in index.rows_with_digest(target_hex):
-        line_no, _, password = index.record(row)
-        try:
-            fresh = raw(password)
-        except hashers.CandidateEncodingError:
-            forged.append(line_no)
-            continue
-        if fresh.hex() == target_hex:
-            cleartexts.append(password)
-        else:
-            forged.append(line_no)
-    return TargetLookup(bool(cleartexts), tuple(cleartexts), tuple(forged))
+    index = potfile.as_index(potfile_path, _digest_width(algo_id, target))
+    # the rows whose digest is the target: the singleton vector's decoy set
+    rows = compile_filter(predicate.singleton_vector(target))(index.digests)
+    good, _ = _rehash(index, rows, algo_id)
+    cleartexts = tuple(index.passwords(rows[good]))
+    forged = np.delete(rows, good) + 1
+    return TargetLookup(bool(cleartexts), cleartexts, tuple(forged.tolist()))
 
 
 def proof_of_work(hit_count: int, expected_r: float,
@@ -109,31 +125,15 @@ def spot_check(potfile_path: str | Path | potfile.PotfileIndex,
     """Re-hash a uniform sample of candidate-set lines; every sampled pair
     must reproduce its digest and satisfy the predicate."""
     _check_sample_size(sample_size)
+    index = potfile.as_index(potfile_path, _digest_width(algo_id, v))
     if not isinstance(rng, random.Random):
         rng = random.Random(rng)
-    width = hashers.descriptor(algo_id).digest_nibbles
-    index = potfile.as_index(potfile_path, width)
-    if not len(index):
-        return SpotCheckResult(True, 0)
-    if len(v) != width:
-        raise LengthMismatchError(
-            f"vector length {len(v)} != digest length {width}")
-    raw = hashers.raw_fn(algo_id)
-    check = compile_checker(v)
     k = min(sample_size, len(index))
     # the same draws as rng.sample(records, k), without building records
-    sample = [index.record(i) for i in rng.sample(range(len(index)), k)]
-    bad: list[int] = []
-    for line_no, digest_hex, password in sample:
-        try:
-            fresh = raw(password)
-        except hashers.CandidateEncodingError:
-            bad.append(line_no)
-            continue
-        if fresh.hex() != digest_hex or not check(fresh):
-            bad.append(line_no)
-    bad.sort()
-    return SpotCheckResult(not bad, k, tuple(bad))
+    rows = np.array(rng.sample(range(len(index)), k), np.int64)
+    good, fresh = _rehash(index, rows, algo_id)
+    bad = np.sort(np.delete(rows, good[compile_filter(v)(fresh)])) + 1
+    return SpotCheckResult(not len(bad), k, tuple(bad.tolist()))
 
 
 def _check_sample_size(sample_size: int) -> None:
@@ -149,7 +149,7 @@ def verify(potfile_path: str | Path, target: Digest, v: PredicateVector,
     """Full CHK-CS: target lookup, proof of work, spot check, over one
     read of the potfile."""
     _check_sample_size(spot_sample)
-    width = hashers.descriptor(algo_id).digest_nibbles
+    width = _digest_width(algo_id, target, v)
     index = potfile.PotfileIndex.read(potfile_path, width)
     hit_count = potfile.count_records(index, width)
     lookup = chk_cs(index, target, algo_id)

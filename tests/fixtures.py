@@ -1,4 +1,26 @@
-"""Shared known-answer fixtures for the toy runs and the case study."""
+"""Shared known-answer fixtures for the toy runs and the case study, and
+the reference hashes the tests check threepc against."""
+
+import importlib.util
+from pathlib import Path
+
+# perfbench/oracle.py computes its hashes apart from threepc: hashlib,
+# zlib and an MD4 written from RFC 1320.  It is loaded read-only, as the
+# benchmark loads it.
+_ORACLE = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.py"
+_spec = importlib.util.spec_from_file_location("perfbench_oracle", _ORACLE)
+oracle = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracle)
+_ORACLE_HEX = {"crc32": oracle.crc32_hex, "sha256": oracle.sha256_hex,
+               "ntlm": oracle.ntlm_hex}
+
+
+def oracle_digest(algo, password):
+    """The raw digest of password under algo from the oracle's hashes, or
+    None where ntlm cannot hash it (bytes that are not UTF-8)."""
+    digest_hex = _ORACLE_HEX[algo](password)
+    return None if digest_hex is None else bytes.fromhex(digest_hex)
+
 
 # Toy example 1: CRC-32 dictionary attack over 14,344,391 unique passwords.
 TOY1_TARGET_HEX = "c6bfaba2"

@@ -36,17 +36,15 @@ import fixtures
 
 
 def oracle_pairs(v, spec, algo_id):
-    """Reference path: hash everything one candidate at a time, filter with
-    the pure predicate; returns (pairs in enumeration order, skipped)."""
-    fn = hashers.raw_fn(algo_id)
+    """Reference path: hash everything one candidate at a time with the
+    oracle's hashes, filter with the pure predicate; returns (pairs in
+    enumeration order, skipped)."""
     pairs, skipped = [], 0
     for pw in keyspace.enumerate_candidates(spec):
-        try:
-            raw = fn(pw)
-        except hashers.CandidateEncodingError:
+        raw = fixtures.oracle_digest(algo_id, pw)
+        if raw is None:
             skipped += 1
-            continue
-        if eval_predicate(v, Digest.from_bytes(raw)):
+        elif eval_predicate(v, Digest.from_bytes(raw)):
             pairs.append((pw, raw))
     return pairs, skipped
 
@@ -359,6 +357,79 @@ class TestCrackParallel:
                 t.join(60)
                 assert not t.is_alive()
             assert results == expected
+
+    def test_fork_inside_another_jobs_window_is_held_off(self, monkeypatch):
+        # job "dies" stalls after its first Pipe() until job "slow" has
+        # forked a worker (or 2 s pass).  A worker of slow forked there
+        # would hold a copy of dies's first write end, and dies, whose
+        # workers exit at once, would see that only when slow's workers
+        # exit: slow's sink waits for dies to finish first.
+        ctx = multiprocessing.get_context("fork")
+        pipe = ctx.Pipe
+        window_open, slow_forked, dies_done = (threading.Event()
+                                               for _ in range(3))
+        calls = {"dies": 0, "slow": 0}
+
+        def stalling_pipe(duplex=True):
+            name = threading.current_thread().name
+            calls[name] += 1
+            if name == "slow" and calls[name] == 2:
+                slow_forked.set()  # its first worker has forked
+            ends = pipe(duplex)
+            if name == "dies" and calls[name] == 1:
+                window_open.set()
+                slow_forked.wait(2)
+            return ends
+
+        dies_spec = keyspace.make_keyspace("mask:?d?d")
+        slow_spec = keyspace.make_keyspace("mask:?d?d?d?d?d")
+        scan = engine._scan_range
+
+        def scan_or_die(v, spec, algo_id, start, stop):
+            if spec is dies_spec:
+                os._exit(3)
+            return scan(v, spec, algo_id, start, stop)
+
+        monkeypatch.setattr(ctx, "Pipe", stalling_pipe)
+        monkeypatch.setattr(engine, "_scan_range", scan_or_die)
+        out = {}
+
+        class WaitingSink(ListSink):
+            def write_hits(self, hits):
+                # every row is a hit, so slow's workers block on their
+                # pipes and stay alive while this waits
+                if "dies_first" not in out:
+                    out["dies_first"] = dies_done.wait(15)
+                super().write_hits(hits)
+
+        def dies():
+            try:
+                crack_parallel(zk_vector(8), dies_spec, "crc32", ListSink(),
+                               n_workers=2)
+            except EngineAbortError as exc:
+                out["dies"] = str(exc)
+            finally:
+                dies_done.set()
+
+        def slow():
+            window_open.wait(10)
+            sink = WaitingSink()
+            crack_parallel(zk_vector(8), slow_spec, "crc32", sink,
+                           n_workers=2)
+            out["slow"] = sink.pairs
+
+        threads = [threading.Thread(target=job, name=job.__name__,
+                                    daemon=True) for job in (dies, slow)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+            assert not t.is_alive()
+        assert out["dies_first"], "dies aborted only after slow finished"
+        assert "worker 0 died with exit code 3" in out["dies"]
+        assert out["slow"] == oracle_pairs(zk_vector(8), slow_spec,
+                                           "crc32")[0]
+        assert not multiprocessing.active_children()
 
     def test_workers_survive_inherited_sigterm_handler(self):
         # threepc-server installs a SIGTERM handler that raises SystemExit;

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threepc import engine, hashers, keyspace
-from threepc._md4 import md4, md4_batch
+from threepc._md4 import md4_batch
 from threepc.hashers import CandidateEncodingError, UnknownAlgoError
 from threepc.predicate import Digest, PredicateVector, eval_predicate, zk_vector
 
@@ -29,7 +29,8 @@ MD4_VECTORS = (
 class TestMd4:
     @pytest.mark.parametrize("message,expected", MD4_VECTORS)
     def test_rfc_vectors(self, message, expected):
-        assert md4(message).hex() == expected
+        out = md4_batch([message], len(message))
+        assert out.shape == (1, 16) and out[0].tobytes().hex() == expected
 
     @pytest.mark.parametrize("message,expected", MD4_VECTORS)
     def test_rfc_vectors_batched(self, message, expected):
@@ -42,10 +43,18 @@ class TestMd4:
             md4_batch([b"a", b"abc"], 2)
 
     def test_multi_block_messages(self):
-        # exercise the padding boundary around one 64-byte block
-        for n in (55, 56, 57, 63, 64, 65, 127, 128, 200):
-            out = md4(b"x" * n)
-            assert len(out) == 16
+        # the padding boundaries around one and two 64-byte blocks, against
+        # the oracle's MD4
+        rng = random.Random(1320)
+        for n in (55, 56, 57, 63, 64, 65, 119, 120, 127, 128, 200):
+            messages = [b"x" * n] + [rng.randbytes(n) for _ in range(3)]
+            out = md4_batch(messages, n)
+            assert [row.tobytes() for row in out] == [
+                fixtures.oracle.md4(m) for m in messages]
+
+    def test_oracle_passes_rfc_suite(self):
+        # the reference the tests check MD4 and NTLM against
+        assert fixtures.oracle.md4_self_test()
 
 
 class TestBackends:
@@ -76,11 +85,23 @@ class TestBackends:
     def test_ntlm_handles_multibyte_utf8(self):
         # U+00E9 encodes to one UTF-16 unit; must not be treated bytewise
         d = hashers.digest("ntlm", "é".encode("utf-8"))
-        assert d.hex == md4("é".encode("utf-16-le")).hex()
+        assert d.hex == fixtures.oracle.md4("é".encode("utf-16-le")).hex()
 
     def test_ntlm_rejects_invalid_utf8(self):
         with pytest.raises(CandidateEncodingError):
             hashers.raw_digest("ntlm", b"\xe9abc")
+
+    @pytest.mark.parametrize("algo", ["crc32", "ntlm", "sha256"])
+    def test_raw_fn_is_the_kernel_on_one_row(self, algo):
+        raw, kernel = hashers.raw_fn(algo), hashers.block_fn(algo)
+        for pw in (b"", b"password", "é".encode(), b"x" * 200):
+            m, hashed = kernel([pw])
+            assert hashed is None and raw(pw) == m[0].tobytes()
+        if algo == "ntlm":
+            m, hashed = kernel([b"\xe9abc"])
+            assert len(m) == 0 and len(hashed) == 0
+            with pytest.raises(CandidateEncodingError):
+                raw(b"\xe9abc")
 
     def test_unknown_algo(self):
         with pytest.raises(UnknownAlgoError):
@@ -122,18 +143,6 @@ _candidate = st.one_of(
 )
 
 
-def ntlm_oracle(block):
-    """(block index, MD4 of the UTF-16LE form) for each UTF-8 candidate."""
-    rows = []
-    for i, pw in enumerate(block):
-        try:
-            text = pw.decode("utf-8")
-        except UnicodeDecodeError:
-            continue
-        rows.append((i, md4(text.encode("utf-16-le"))))
-    return rows
-
-
 def kernel_rows(algo, block):
     """Run the block kernel and check its contract: a uint8 matrix of
     whole digests, and ascending block indices of its rows, None only
@@ -155,7 +164,7 @@ class TestNtlmKernel:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_candidate, max_size=40))
     def test_matches_md4_oracle(self, block):
-        assert kernel_rows("ntlm", block) == ntlm_oracle(block)
+        assert kernel_rows("ntlm", block) == oracle_rows("ntlm", block)
 
 
 @st.composite
@@ -170,22 +179,17 @@ def vectors(draw, nibbles):
     return PredicateVector(tuple(bounds))
 
 
-def raw_rows(algo, block):
-    """(block index, raw_fn digest) for each candidate raw_fn can hash."""
-    raw = hashers.raw_fn(algo)
-    rows = []
-    for i, pw in enumerate(block):
-        try:
-            rows.append((i, raw(pw)))
-        except CandidateEncodingError:
-            continue
-    return rows
+def oracle_rows(algo, block):
+    """(block index, oracle digest) for each candidate the oracle hashes;
+    for ntlm, those that are UTF-8."""
+    digests = [fixtures.oracle_digest(algo, pw) for pw in block]
+    return [(i, d) for i, d in enumerate(digests) if d is not None]
 
 
 def kernel_oracle(algo, v, block):
-    """Hash one candidate at a time with raw_fn and filter with the pure
-    predicate: (hits in block order, skipped)."""
-    rows = raw_rows(algo, block)
+    """Hash one candidate at a time with the oracle and filter with the
+    pure predicate: (hits in block order, skipped)."""
+    rows = oracle_rows(algo, block)
     hits = [(block[i], d) for i, d in rows
             if eval_predicate(v, Digest.from_bytes(d))]
     return hits, len(block) - len(rows)
@@ -213,7 +217,7 @@ class TestKernels:
         block = data.draw(st.lists(
             _candidate if algo == "ntlm" else st.binary(max_size=20),
             max_size=60))
-        assert kernel_rows(algo, block) == raw_rows(algo, block)
+        assert kernel_rows(algo, block) == oracle_rows(algo, block)
         assert scan_block(algo, v, block) == kernel_oracle(algo, v, block)
 
     def test_ntlm_block_with_length_groups_and_invalid_utf8(self):
@@ -226,7 +230,7 @@ class TestKernels:
         assert len({len(pw.decode("utf-8").encode("utf-16-le"))
                     for pw, _ in valid}) >= 4
         rows = kernel_rows("ntlm", block)
-        assert rows == raw_rows("ntlm", block) and len(rows) == 140
+        assert rows == oracle_rows("ntlm", block) and len(rows) == 140
         for v in (zk_vector(32),
                   PredicateVector(((0, 7), (0, 15)) + ((0, 15),) * 30),
                   PredicateVector(((0, 3), (4, 15)) + ((0, 15),) * 30)):

@@ -16,6 +16,7 @@ from threepc import hashers
 from threepc.potfile import PotfileParseError, PotfileWriter
 from threepc.predicate import (
     Digest,
+    LengthMismatchError,
     PredicateVector,
     eval_predicate,
     parse_vector,
@@ -68,6 +69,26 @@ class TestChkCs:
         lookup = chk_cs(pot, target, "crc32")
         assert not lookup.cracked
         assert lookup.forged_lines == (1,)
+
+    def test_password_the_kernel_skips_is_forged(self, tmp_path):
+        # ntlm cannot hash bytes that are not UTF-8; such a line under the
+        # target is forged, and a later honest one still cracks it
+        pot = tmp_path / "skip.pot"
+        target = hashers.digest("ntlm", b"secret")
+        raw = bytes.fromhex(target.hex)
+        with PotfileWriter(pot) as writer:
+            writer.write_batch([(b"\xe9abc", raw), (b"secret", raw)])
+        lookup = chk_cs(pot, target, "ntlm")
+        assert lookup == TargetLookup(True, (b"secret",), (1,))
+        spot = spot_check(pot, zk_vector(32), "ntlm", 10, rng=0)
+        assert spot == SpotCheckResult(False, 2, (1,))
+
+    def test_target_of_another_length_is_refused(self, tmp_path):
+        pot = tmp_path / "crc32.pot"
+        with PotfileWriter(pot) as writer:
+            writer.write_batch([(b"pw", hashers.raw_digest("crc32", b"pw"))])
+        with pytest.raises(LengthMismatchError):
+            chk_cs(pot, hashers.digest("sha256", b"pw"), "crc32")
 
     def test_collisions_are_all_reported(self, tmp_path):
         # CRC-32 collides readily: find two preimages by birthday search
@@ -158,6 +179,12 @@ class TestSpotCheck:
             for n in Digest.from_bytes(raw).nibbles))
         assert not spot_check(pot, narrow, "crc32", 10, rng=0).passed
 
+    def test_vector_of_another_length_is_refused(self, tmp_path):
+        pot = tmp_path / "empty.pot"
+        pot.write_bytes(b"")
+        with pytest.raises(LengthMismatchError):
+            spot_check(pot, zk_vector(5), "crc32")
+
     def test_sample_size_must_be_positive(self, tmp_path):
         pot = tmp_path / "x.pot"
         pot.write_bytes(b"")
@@ -179,6 +206,17 @@ class TestVerify:
         assert verdict.honest
         assert verdict.z_score == pytest.approx(
             (9 - 10.24) / math.sqrt(10.24), abs=1e-9)
+
+    @pytest.mark.parametrize("target_nibbles,vector_nibbles",
+                             [(8, 5), (64, 8)])
+    def test_lengths_are_checked_before_the_file_is_read(
+            self, tmp_path, target_nibbles, vector_nibbles):
+        target = Digest.from_hex("a" * target_nibbles, "crc32")
+        v = zk_vector(vector_nibbles)
+        (tmp_path / "empty.pot").write_bytes(b"")
+        for pot in (tmp_path / "missing.pot", tmp_path / "empty.pot"):
+            with pytest.raises(LengthMismatchError):
+                verify(pot, target, v, "crc32", expected_r=1.0)
 
     def test_zero_spot_sample_fails_before_the_file_is_read(self, tmp_path):
         target = hashers.digest("crc32", b"pw")
@@ -216,18 +254,19 @@ def reference_records(path, width):
     return records
 
 
+def oracle_hex(algo_id, password):
+    """The oracle's digest of password as hex, None where it has none."""
+    raw = fixtures.oracle_digest(algo_id, password)
+    return None if raw is None else raw.hex()
+
+
 def reference_chk_cs(path, target, algo_id):
     width = hashers.descriptor(algo_id).digest_nibbles
     cleartexts, forged = [], []
     for line_no, digest_hex, password in reference_records(path, width):
         if digest_hex != target.hex:
             continue
-        try:
-            fresh = hashers.digest(algo_id, password)
-        except hashers.CandidateEncodingError:
-            forged.append(line_no)
-            continue
-        if fresh.hex == target.hex:
+        if oracle_hex(algo_id, password) == target.hex:
             cleartexts.append(password)
         else:
             forged.append(line_no)
@@ -246,12 +285,8 @@ def reference_spot_check(path, v, algo_id, sample_size, rng):
     k = min(sample_size, len(records))
     bad = []
     for line_no, digest_hex, password in rng.sample(records, k):
-        try:
-            fresh = hashers.digest(algo_id, password)
-        except hashers.CandidateEncodingError:
-            bad.append(line_no)
-            continue
-        if fresh.hex != digest_hex or not eval_predicate(v, fresh):
+        fresh = oracle_hex(algo_id, password)
+        if fresh != digest_hex or not eval_predicate(v, Digest.from_hex(fresh)):
             bad.append(line_no)
     bad.sort()
     return SpotCheckResult(not bad, k, tuple(bad))
@@ -417,7 +452,10 @@ BAD_KINDS = st.sampled_from(["short", "nosep", "nothex", "nonascii", "blank"])
 
 
 def generated_line(algo, kind, password, target_hex, width):
-    honest = hashers.digest(algo, password).hex if kind != "target" else None
+    # a password the oracle cannot hash (ntlm, not UTF-8) gets a made-up
+    # digest, so its lines exercise the kernel's skip path
+    honest = ((oracle_hex(algo, password) or "0" * width)
+              if kind != "target" else None)
     if kind == "honest":
         return honest.encode() + b":" + password
     if kind == "upper":
@@ -451,7 +489,7 @@ def outcome(fn, *args, **kwargs):
 
 
 @settings(max_examples=150, deadline=None)
-@given(algo=st.sampled_from(["crc32", "sha256"]),
+@given(algo=st.sampled_from(["crc32", "sha256", "ntlm"]),
        lines=st.lists(st.tuples(GOOD_KINDS, PASSWORDS), max_size=40),
        bad_lines=st.lists(st.tuples(st.integers(0, 40), BAD_KINDS, PASSWORDS),
                           max_size=2),
