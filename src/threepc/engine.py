@@ -4,17 +4,19 @@ predicate, stream the survivors to a sink.
 One batch is the unit of work.  ``crack_parallel`` cuts the keyspace into
 max(n_workers, ceil(|DS| / keyspace._BLOCK_CAP)) contiguous index ranges
 whose sizes differ by at most one, made as they are used (``_ranges``).
-Each range is one candidate list, one call of the algorithm's block
-kernel (``hashers.block_fn``) and one ``sink.write_hits`` of its hits, so
-a kernel's working memory stays within one batch and the hits held
-within a batch per worker.  The kernel only hashes: it returns the
-batch's digest matrix, one row per hashed candidate, and the block
-indices of its rows when it skipped some (NTLM skips non-UTF-8 ones).
+Each range is one call of the algorithm's block kernel
+(``hashers.block_fn``) over the range's parts, the ``(prefix, suffixes,
+lo, hi)`` blocks of ``keyspace.iter_blocks``, and one ``sink.write_hits``
+of its hits, so a kernel's working memory stays within one batch and the
+hits held within a batch per worker.  The engine joins no candidate: the
+kernel builds what it hashes from the parts, and returns the batch's
+digest matrix, one row per hashed candidate, and the range offsets of
+its rows when it skipped some (NTLM skips non-UTF-8 ones).
 ``_scan_range`` alone applies the predicate filter, once per batch as
-numpy table lookups, and returns the kept rows as one ``potfile.Hits``:
-their digest matrix, and their passwords joined in row order.  No
-per-hit tuple is made; the batch crosses the worker pipes as three
-buffers.
+numpy table lookups, builds the passwords of the kept rows only, from
+their part and offset, and returns them as one ``potfile.Hits``: their
+digest matrix, and their passwords joined in row order.  No per-hit
+tuple is made; the batch crosses the worker pipes as three buffers.
 
 The predicate is compiled to per-byte lookup tables (``_byte_tables``),
 ordered most restrictive first.  ``compile_filter`` looks the first one
@@ -30,12 +32,13 @@ in concurrent threads fork one at a time (``_FORK_LOCK``), so no worker
 holds another job's write end.
 
 The sink receives rows in keyspace enumeration order at any worker
-count: kernels return rows in block order and ranges are consumed in
+count: kernels return rows in range order and ranges are consumed in
 index order, so a sink can stream its output byte-reproducibly.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import multiprocessing
 import signal
@@ -170,19 +173,36 @@ def _ranges(total: int, n_workers: int) -> Iterator[tuple[int, int]]:
 def _scan_range(v: PredicateVector, spec: keyspace.KeyspaceSpec,
                 algo_id: str, start: int, stop: int
                 ) -> tuple[int, int, Hits]:
-    """Hash candidates [start, stop) in one kernel call and filter the
-    digest matrix once; return (hashed, skipped, hits in block order)."""
-    batch: list[bytes] = []
-    for prefix, suffixes, lo, hi in keyspace.iter_blocks(spec, start, stop):
-        part = suffixes[lo:hi]
-        batch += [prefix + s for s in part] if prefix else part
-    m, hashed = hashers.block_fn(algo_id)(batch)
+    """Hash candidates [start, stop) in one kernel call over their parts
+    and filter the digest matrix once; return (hashed, skipped, hits in
+    range order)."""
+    parts = list(keyspace.iter_blocks(spec, start, stop))
+    m, hashed = hashers.block_fn(algo_id)(parts)
     rows = compile_filter(v)(m)
     digests = m[rows]
     if hashed is not None:
         rows = hashed[rows]
-    hits = Hits.from_rows(digests, [batch[i] for i in rows.tolist()])
-    return stop - start, len(batch) - len(m), hits
+    return (stop - start, stop - start - len(m),
+            Hits.from_rows(digests, _passwords(parts, rows)))
+
+
+def _passwords(parts: list[hashers.Part], offsets: np.ndarray
+               ) -> list[bytes]:
+    """The candidates at the ascending range offsets, joined to their
+    prefix only where the part has one."""
+    picked: list[bytes] = []
+    offsets = offsets.tolist()
+    at = i = 0  # the part's first range offset and first entry of offsets
+    for prefix, suffixes, lo, hi in parts:
+        end = at + hi - lo
+        j = bisect.bisect_left(offsets, end, i)
+        shift = lo - at
+        if prefix:
+            picked += [prefix + suffixes[k + shift] for k in offsets[i:j]]
+        else:
+            picked += [suffixes[k + shift] for k in offsets[i:j]]
+        at, i = end, j
+    return picked
 
 
 def _worker(conn, v: PredicateVector, spec: keyspace.KeyspaceSpec,

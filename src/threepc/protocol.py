@@ -16,9 +16,10 @@ potfile as it is.
 
 Per connection the exchange is strictly ordered: hash-info request and
 ack, one job submission, zero or more candidate chunks, one completion
-record.  The target digest never appears in any client frame; the only
-job-derived fields on the wire are the vector hex and the keyspace
-descriptor.
+record.  The server waits at most IDLE_TIMEOUT seconds on each of the
+two request frames, then drops the connection.  The target digest never
+appears in any client frame; the only job-derived fields on the wire are
+the vector hex and the keyspace descriptor.
 """
 
 from __future__ import annotations
@@ -43,6 +44,9 @@ DEFAULT_PORT = 3727
 DEFAULT_MAX_FRAME = 64 * 1024 * 1024
 INLINE_CORPUS_CAP = 256 * 1024 * 1024
 CHUNK_PAIRS = 4096
+# seconds the server waits on a client's hash-info request and job
+# submission; a client silent for longer is dropped, freeing its thread
+IDLE_TIMEOUT = 60.0
 
 _HEADER = struct.Struct(">IB")
 _U64 = struct.Struct(">Q")
@@ -313,6 +317,7 @@ class _JobHandler(socketserver.BaseRequestHandler):
             pass
 
     def _run_job(self, server: "CrackServer", sock: socket.socket) -> None:
+        sock.settimeout(IDLE_TIMEOUT)
         msg = recv_message(sock, server.max_frame)
         if not isinstance(msg, HashInfoRequest):
             raise ProtocolViolation("protocol-order",
@@ -325,6 +330,8 @@ class _JobHandler(socketserver.BaseRequestHandler):
                                        int(rate)))
 
         msg = recv_message(sock, server.max_frame)
+        # the results stream for as long as the crack runs: sends block
+        sock.settimeout(None)
         if not isinstance(msg, JobSubmit):
             raise ProtocolViolation("protocol-order",
                                     "expected job submission")

@@ -4,9 +4,10 @@ and spot-check re-hashing.
 Recorded digests are never trusted: a positive target verdict requires a
 fresh hash of the recorded password to reproduce the target, and spot
 checks re-hash a random sample and re-evaluate the predicate.  Both
-re-hash their rows as one block through the engine's kernel
-(``hashers.block_fn``) and compare raw digest matrices; the spot check
-filters the fresh matrix with the engine's ``compile_filter``.
+re-hash their rows in one call of the engine's kernel
+(``hashers.block_fn``), as one part, and compare raw digest matrices;
+the spot check filters the fresh matrix with the engine's
+``compile_filter``.
 """
 
 from __future__ import annotations
@@ -80,10 +81,11 @@ def _digest_width(algo_id: str, *items: Digest | PredicateVector) -> int:
 
 def _rehash(index: potfile.PotfileIndex, rows: np.ndarray, algo_id: str
             ) -> tuple[np.ndarray, np.ndarray]:
-    """Re-hash the passwords of the index rows as one block: the positions
-    in rows whose fresh digest reproduces the recorded one, and those
-    fresh digests.  A password the kernel skips fails."""
-    fresh, hashed = hashers.block_fn(algo_id)(index.passwords(rows))
+    """Re-hash the passwords of the index rows in one kernel call: the
+    positions in rows whose fresh digest reproduces the recorded one, and
+    those fresh digests.  A password the kernel skips fails."""
+    fresh, hashed = hashers.block_fn(algo_id)(
+        hashers.as_parts(index.passwords(rows)))
     at = np.arange(len(rows)) if hashed is None else hashed
     same = (fresh == index.digests[rows[at]]).all(axis=1)
     return at[same], fresh[same]

@@ -22,6 +22,13 @@ def oracle_digest(algo, password):
     return None if digest_hex is None else bytes.fromhex(digest_hex)
 
 
+def expand_parts(parts):
+    """The candidates of a kernel call's (prefix, suffixes, lo, hi) parts,
+    each joined, in range order."""
+    return [prefix + s for prefix, suffixes, lo, hi in parts
+            for s in suffixes[lo:hi]]
+
+
 # Toy example 1: CRC-32 dictionary attack over 14,344,391 unique passwords.
 TOY1_TARGET_HEX = "c6bfaba2"
 TOY1_TARGET_PASSWORD = b"0BChrist"

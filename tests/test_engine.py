@@ -164,11 +164,29 @@ class TestCompileFilter:
             compile_filter(PredicateVector(((0, 15),) * 3))
 
 
+# one range per algorithm, the ntlm one with skipped rows; prints the
+# modules the scans imported
+SCAN_IMPORTS_JOB = """
+import sys
+from threepc import engine, keyspace
+from threepc.predicate import zk_vector
+words = (b"plain", "caf\\u00e9".encode(), b"lat\\xefn")
+spec = keyspace.make_keyspace("hybrid:w:?w?d", words=words)
+before = set(sys.modules)
+for algo, nibbles in (("crc32", 8), ("sha256", 64), ("ntlm", 32)):
+    _, skipped, hits = engine._scan_range(zk_vector(nibbles), spec, algo,
+                                          0, 30)
+    assert len(hits) == 30 - skipped
+    assert skipped == (10 if algo == "ntlm" else 0)
+print(sorted(set(sys.modules) - before))
+"""
+
+
 class TestScanRange:
     def test_one_batch_is_the_range(self, monkeypatch):
-        def probe(block):
-            calls.append(list(block))
-            return np.zeros((len(block), 4), dtype=np.uint8), None
+        def probe(parts):
+            calls.append(fixtures.expand_parts(parts))
+            return np.zeros((len(calls[-1]), 4), dtype=np.uint8), None
 
         rng = random.Random(7)
         words = tuple(b"w%d" % i for i in range(40))
@@ -198,6 +216,52 @@ class TestScanRange:
             assert result[2].width == 4
             assert result[2].pairs() == [(pw, bytes(4)) for pw in calls[0]]
 
+    @pytest.mark.parametrize("algo_id", ["crc32", "sha256", "ntlm"])
+    def test_ranges_match_oracle(self, monkeypatch, algo_id):
+        # accented, latin-1, 4-byte UTF-8, surrogate-encoded and two-MD4-
+        # block words; a literal non-ASCII character in prefix and suffix;
+        # ranges that start and stop inside blocks of several sizes
+        words = ("café".encode(), b"lat\xefn", "\U0001f511key".encode(),
+                 b"\xed\xa0\x80sur", b"y" * 30, b"plain")
+        nibbles = hashers.descriptor(algo_id).digest_nibbles
+        v = PredicateVector(((0, 7), (2, 9)) + ((0, 15),) * (nibbles - 2))
+        rng = random.Random(17)
+        for desc in ("hybrid:w:?w?d?s", "hybrid:w:é?d?w", "mask:?dé?l",
+                     "wordlist:w"):
+            spec = keyspace.make_keyspace(desc, words=words)
+            digests = [fixtures.oracle_digest(algo_id, pw)
+                       for pw in keyspace.enumerate_candidates(spec)]
+            for cap in (7, 64, keyspace._BLOCK_CAP):
+                monkeypatch.setattr(keyspace, "_BLOCK_CAP", cap)
+                # built after the patch, so its layout follows the cap
+                spec = keyspace.make_keyspace(desc, words=words)
+                total = keyspace.spec_cardinality(spec)
+                for _ in range(6):
+                    start = rng.randrange(total)
+                    stop = rng.randrange(start, total + 1)
+                    cands = keyspace.enumerate_range(spec, start, stop)
+                    pairs = [(pw, d) for pw, d in zip(cands,
+                                                      digests[start:stop])
+                             if d is not None
+                             and eval_predicate(v, Digest.from_bytes(d))]
+                    skipped = digests[start:stop].count(None)
+                    hashed, got_skipped, hits = engine._scan_range(
+                        v, spec, algo_id, start, stop)
+                    assert (hashed, got_skipped, hits.pairs()) == (
+                        stop - start, skipped, pairs)
+
+    def test_scan_imports_no_module(self):
+        # a module imported lazily on a scan's first call would be imported
+        # again in every forked worker, on every job
+        src = os.path.dirname(os.path.dirname(engine.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", SCAN_IMPORTS_JOB],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
 
 class TestRanges:
     @given(st.integers(0, 50_000), st.integers(1, 8),
@@ -224,9 +288,10 @@ class TestRanges:
 
     @pytest.mark.parametrize("n_workers", [1, 2, 3])
     def test_one_kernel_call_per_range(self, monkeypatch, n_workers):
-        def probe(block):
-            # one row, for the first candidate: the block's size
-            row = np.frombuffer(len(block).to_bytes(4, "big"), np.uint8)
+        def probe(parts):
+            # one row, for the first candidate: the range's size
+            size = len(fixtures.expand_parts(parts))
+            row = np.frombuffer(size.to_bytes(4, "big"), np.uint8)
             return row.reshape(1, 4), np.array([0])
 
         monkeypatch.setattr(keyspace, "_BLOCK_CAP", 700)
@@ -450,11 +515,12 @@ class TestCrackParallel:
             signal.signal(signal.SIGTERM, old)
 
     def test_workers_reset_sigterm_to_default(self, monkeypatch):
-        def probe(block):
+        def probe(parts):
             default = signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
             unblocked = signal.SIGTERM not in blocked_signals()
             row = [default, unblocked, 0, 0]
-            return np.array([row] * len(block), dtype=np.uint8), None
+            size = len(fixtures.expand_parts(parts))
+            return np.array([row] * size, dtype=np.uint8), None
 
         def job():
             # the job's own thread: its mask must be as it was before
@@ -514,7 +580,8 @@ class TestCrackParallel:
     @pytest.mark.parametrize("failure", ["raise", "exit"])
     def test_worker_failure_aborts_with_partial_report(self, monkeypatch,
                                                         failure):
-        def probe(block):
+        def probe(parts):
+            block = fixtures.expand_parts(parts)
             if b"5000" in block:
                 if failure == "exit":
                     os._exit(3)

@@ -1,4 +1,5 @@
 import random
+import struct
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threepc import engine, hashers, keyspace
-from threepc._md4 import md4_batch
+from threepc._md4 import md4_words
 from threepc.hashers import CandidateEncodingError, UnknownAlgoError
 from threepc.predicate import Digest, PredicateVector, eval_predicate, zk_vector
 
@@ -26,21 +27,26 @@ MD4_VECTORS = (
 )
 
 
+def md4(messages):
+    """md4_words over messages of one length, each padded here as RFC 1320
+    pads it."""
+    padded = [m + b"\x80" + bytes(-(len(m) + 9) % 64)
+              + struct.pack("<Q", 8 * len(m)) for m in messages]
+    words = np.frombuffer(b"".join(padded), "<u4")
+    return md4_words(words.reshape(len(messages), -1))
+
+
 class TestMd4:
     @pytest.mark.parametrize("message,expected", MD4_VECTORS)
     def test_rfc_vectors(self, message, expected):
-        out = md4_batch([message], len(message))
+        out = md4([message])
         assert out.shape == (1, 16) and out[0].tobytes().hex() == expected
 
     @pytest.mark.parametrize("message,expected", MD4_VECTORS)
     def test_rfc_vectors_batched(self, message, expected):
-        out = md4_batch([message] * 3, len(message))
+        out = md4([message] * 3)
         assert out.shape == (3, 16)
         assert [row.tobytes() for row in out] == [bytes.fromhex(expected)] * 3
-
-    def test_batch_rejects_unequal_lengths(self):
-        with pytest.raises(ValueError):
-            md4_batch([b"a", b"abc"], 2)
 
     def test_multi_block_messages(self):
         # the padding boundaries around one and two 64-byte blocks, against
@@ -48,7 +54,7 @@ class TestMd4:
         rng = random.Random(1320)
         for n in (55, 56, 57, 63, 64, 65, 119, 120, 127, 128, 200):
             messages = [b"x" * n] + [rng.randbytes(n) for _ in range(3)]
-            out = md4_batch(messages, n)
+            out = md4(messages)
             assert [row.tobytes() for row in out] == [
                 fixtures.oracle.md4(m) for m in messages]
 
@@ -95,10 +101,10 @@ class TestBackends:
     def test_raw_fn_is_the_kernel_on_one_row(self, algo):
         raw, kernel = hashers.raw_fn(algo), hashers.block_fn(algo)
         for pw in (b"", b"password", "é".encode(), b"x" * 200):
-            m, hashed = kernel([pw])
+            m, hashed = kernel(hashers.as_parts([pw]))
             assert hashed is None and raw(pw) == m[0].tobytes()
         if algo == "ntlm":
-            m, hashed = kernel([b"\xe9abc"])
+            m, hashed = kernel(hashers.as_parts([b"\xe9abc"]))
             assert len(m) == 0 and len(hashed) == 0
             with pytest.raises(CandidateEncodingError):
                 raw(b"\xe9abc")
@@ -143,14 +149,54 @@ _candidate = st.one_of(
 )
 
 
+def _cut(text, at, left):
+    """One side of text's UTF-8 bytes cut at byte at (mod its length)."""
+    raw = text.encode("utf-8")
+    at %= len(raw) + 1
+    return raw[:at] if left else raw[at:]
+
+
+# kernel-call fragments (prefixes and suffix rows): the candidates above;
+# latin-1 text, which is not UTF-8 where accented; and a UTF-8 string cut
+# at any byte, whose two sides may each not be UTF-8 while their join is
+_fragment = st.one_of(
+    _candidate,
+    st.text(st.characters(min_codepoint=0x20, max_codepoint=0xFF),
+            max_size=12).map(lambda t: t.encode("latin-1")),
+    st.builds(_cut, st.text(max_size=12), st.integers(0, 60),
+              st.booleans()),
+)
+
+
+@st.composite
+def part_lists(draw, fragment):
+    """Up to six parts over up to three suffix runs, as iter_blocks cuts
+    them: parts share a run, and lo and hi may fall anywhere in it."""
+    runs = draw(st.lists(st.lists(fragment, min_size=1, max_size=12),
+                         min_size=1, max_size=3))
+    parts = []
+    for _ in range(draw(st.integers(0, 6))):
+        run = runs[draw(st.integers(0, len(runs) - 1))]
+        lo = draw(st.integers(0, len(run)))
+        parts.append((draw(fragment), run, lo,
+                      draw(st.integers(lo, len(run)))))
+    return parts
+
+
 def kernel_rows(algo, block):
-    """Run the block kernel and check its contract: a uint8 matrix of
-    whole digests, and ascending block indices of its rows, None only
-    when every candidate was hashed.  Returns (block index, digest) per
-    row."""
-    m, hashed = hashers.block_fn(algo)(block)
+    """kernel_part_rows over the password list as one part."""
+    return kernel_part_rows(algo, hashers.as_parts(block))
+
+
+def kernel_part_rows(algo, parts):
+    """Run the block kernel over parts and check its contract: a uint8
+    matrix of whole digests, and ascending range offsets of its rows, None
+    only when every candidate was hashed.  Returns (range offset, digest)
+    per row."""
+    m, hashed = hashers.block_fn(algo)(parts)
     width = hashers.descriptor(algo).digest_nibbles // 2
     assert m.dtype == np.uint8 and m.shape == (len(m), width)
+    block = fixtures.expand_parts(parts)
     if hashed is None:
         hashed = range(len(block))
     else:
@@ -165,6 +211,52 @@ class TestNtlmKernel:
     @given(st.lists(_candidate, max_size=40))
     def test_matches_md4_oracle(self, block):
         assert kernel_rows("ntlm", block) == oracle_rows("ntlm", block)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_parts_match_md4_oracle(self, data):
+        parts = data.draw(part_lists(_fragment))
+        assert kernel_part_rows("ntlm", parts) == oracle_rows(
+            "ntlm", fixtures.expand_parts(parts))
+
+    def test_prefix_and_suffix_each_not_utf8(self):
+        # "é" cut in two, latin-1, a lone continuation byte: either side
+        # alone is not UTF-8, and some of the joins are
+        run = [b"\xa9", b"\xa9x", b"x", b"\xa9\xa9", "é".encode(), b""]
+        parts = [(b"caf\xc3", run, 0, 6), (b"\xe9t\xe9", run, 1, 5),
+                 (b"\xf0\x9f\x94", [b"\x91", b"\x91\xc3"], 0, 2),
+                 (b"ok", run, 2, 4)]
+        block = fixtures.expand_parts(parts)
+        rows = kernel_part_rows("ntlm", parts)
+        assert rows == oracle_rows("ntlm", block)
+        assert [block[i] for i, _ in rows] == [
+            "café".encode(), "caféx".encode(), "\U0001f511".encode(), b"okx"]
+
+    def test_each_row_in_use_is_encoded_once(self, monkeypatch):
+        # a range across two blocks of a run larger than the range (a
+        # hybrid ?w slot last, over more words than the block cap) encodes
+        # the rows it uses, not the rows between them
+        encoded = []
+
+        def counting(text):
+            encoded.append(text)
+            return utf16(text)
+
+        utf16 = hashers._utf16
+        monkeypatch.setattr(hashers, "_utf16", counting)
+        words = [b"w%d" % i for i in range(1000)]
+        parts = [(b"1", words, 990, 1000), (b"2", words, 0, 5),
+                 (b"3", words, 3, 8)]
+        rows = kernel_part_rows("ntlm", parts)
+        assert rows == oracle_rows("ntlm", fixtures.expand_parts(parts))
+        assert sorted(encoded) == sorted(
+            words[990:] + words[:8] + [b"", b"1", b"2", b"3"])
+
+    def test_password_list_with_empty_passwords(self):
+        block = [b"", b"a", b"", "é".encode(), b"\xff", b""]
+        rows = kernel_rows("ntlm", block)
+        assert rows == oracle_rows("ntlm", block)
+        assert [i for i, _ in rows] == [0, 1, 2, 3, 5]
 
 
 @st.composite
@@ -219,6 +311,15 @@ class TestKernels:
             max_size=60))
         assert kernel_rows(algo, block) == oracle_rows(algo, block)
         assert scan_block(algo, v, block) == kernel_oracle(algo, v, block)
+
+    @pytest.mark.parametrize("algo", ["crc32", "sha256", "ntlm"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_parts_match_oracle(self, algo, data):
+        parts = data.draw(part_lists(
+            _fragment if algo == "ntlm" else st.binary(max_size=20)))
+        assert kernel_part_rows(algo, parts) == oracle_rows(
+            algo, fixtures.expand_parts(parts))
 
     def test_ntlm_block_with_length_groups_and_invalid_utf8(self):
         # interleaved UTF-16LE lengths and rows that are not UTF-8, so rows

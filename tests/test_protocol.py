@@ -233,6 +233,27 @@ class TestServer:
             reply = recv_message(sock)
         assert isinstance(reply, ErrorReply) and reply.code == "protocol-order"
 
+    @pytest.mark.parametrize("frames_sent", [0, 1])
+    def test_silent_client_is_dropped(self, local_server, tmp_path,
+                                      monkeypatch, frames_sent):
+        # silent before the hash-info request, or before the job submission
+        monkeypatch.setattr(protocol, "IDLE_TIMEOUT", 0.2)
+        threads = threading.active_count()
+        with socket.create_connection(local_server.address,
+                                      timeout=10) as silent:
+            if frames_sent:
+                send_message(silent, HashInfoRequest("crc32"))
+                assert isinstance(recv_message(silent), HashInfoAck)
+            assert silent.recv(1) == b""  # closed by the server
+        for _ in range(100):  # the handler's thread ends
+            if threading.active_count() == threads:
+                break
+            threading.Event().wait(0.05)
+        assert threading.active_count() == threads
+        report = run_job(_make_plan(seed=3), local_server.address,
+                         tmp_path / "next.pot")
+        assert report.hashed_count == 100
+
     def test_oversized_frame_rejected(self, corpus_dir):
         server = protocol.CrackServer("127.0.0.1", 0, corpus_dir,
                                       max_frame=1024)
