@@ -178,11 +178,12 @@ def cmd_verify(args) -> int:
     plan = planner.Plan.from_text(Path(args.plan).read_text())
     vector = parse_vector(plan.vector_hex)
     target = hashers.parse_digest_hex(plan.algo_id, plan.target_hex)
-    expected_r = (args.expected_r if args.expected_r is not None
-                  else plan.expected_candidates)
-    if expected_r <= 0:
-        raise ValueError("plan has no expected candidate count; "
-                         "pass --expected-r")
+    expected_r = args.expected_r
+    if expected_r is None:
+        expected_r = plan.expected_candidates
+        if expected_r <= 0:
+            raise ValueError("plan has no expected candidate count; "
+                             "pass --expected-r")
     seed = args.seed if args.seed is not None else plan.seed ^ 0x5F0F
     verdict = verifier.verify(
         args.potfile, target, vector, plan.algo_id, expected_r,

@@ -12,11 +12,14 @@ The search pairs each (2, 3) product with a sorted table of (5, 7, 11,
 13) products and widens one error window, doubling it, until it holds
 the best packable pair, so it is exact: the returned value minimizes
 |ln(value/nv)| among all packable 13-smooth numbers, ties broken toward
-the smaller value.
+the smaller value.  Packability is a closed-form count over the six
+exponents (_slots_used), so each round tests all of its pairs at once;
+pack_into_slots builds the chosen value's slots only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import re
@@ -49,16 +52,17 @@ class SmoothFactorization:
     value: int
 
     def __post_init__(self) -> None:
-        recomputed = prod(p ** e for p, e in zip((2, 3, 5, 7, 11, 13),
-                                                 self.exponents))
-        if recomputed != self.value:
+        if _value(self.exponents) != self.value:
             raise ValueError("stored value does not match exponents")
 
     @classmethod
     def from_exponents(cls, exponents) -> "SmoothFactorization":
         exponents = tuple(int(e) for e in exponents)
-        value = prod(p ** e for p, e in zip((2, 3, 5, 7, 11, 13), exponents))
-        return cls(exponents, value)
+        return cls(exponents, _value(exponents))
+
+
+def _value(exponents) -> int:
+    return prod(p ** int(e) for p, e in zip((2, 3, 5, 7, 11, 13), exponents))
 
 
 @dataclass(frozen=True)
@@ -107,11 +111,18 @@ def _ln_fraction(x: Fraction) -> float:
     return math.log(x.numerator) - math.log(x.denominator)
 
 
+def _finite_fraction(x, name: str) -> Fraction:
+    try:
+        return Fraction(x)  # floats convert exactly
+    except (OverflowError, ValueError):  # inf, NaN
+        raise ValueError(f"{name} must be a finite number, got {x!r}") from None
+
+
 def plan_nv(keyspace_size: int, r, digest_length: int) -> PlanParameters:
     """nv = r * 16^l / |DS|, kept exact as a rational."""
     if keyspace_size < 1:
         raise ValueError("keyspace_size must be >= 1")
-    r = Fraction(r)  # floats convert exactly
+    r = _finite_fraction(r, "r")
     if r <= 0:
         raise ValueError("r must be positive")
     nv = r * Fraction(16 ** digest_length, keyspace_size)
@@ -138,6 +149,20 @@ def pack_into_slots(exponents, n_slots: int) -> tuple[int, ...] | None:
         if e:
             return None
     return tuple(slots)
+
+
+def _slots_used(exps: np.ndarray) -> np.ndarray:
+    """Slots that pack_into_slots fills, per row of an (n, 6) exponent
+    array: a row is packable into l slots iff its count is <= l.
+
+    First fit decreasing reduces to counts.  Each 13, 11, 7 and 5 takes a
+    slot of its own; the 3s fill the 5-slots (15), then pair up (9); the
+    2s go one into each 7-slot (14) and each 5-slot without a 3 (10), two
+    into a lone 3 (12), then four to a new slot (16)."""
+    a, b, c, d, e, f = np.asarray(exps, np.int64).T
+    threes, lone_fives = np.maximum(b - c, 0), np.maximum(c - b, 0)
+    twos = np.maximum(a - d - lone_fives - 2 * (threes % 2), 0)
+    return f + e + d + c + (threes + 1) // 2 + (twos + 3) // 4
 
 
 def _extend(logs: np.ndarray, packed: np.ndarray, ln_p: float, shift: int,
@@ -217,22 +242,17 @@ class _SmoothGroups:
             self.right_logs, self.zone_floor - self.search_logs + 1e-6,
             side="right")
 
-    def exponents(self, left_idx: int, right_idx: int
-                  ) -> tuple[int, int, int, int, int, int]:
-        """Exponents of the pair (search_* entry, right entry)."""
-        ab = int(self.search_packed[left_idx])
-        cdef = int(self.right_packed[right_idx])
-        return (ab & 0xFFFF, ab >> 16, cdef & 0xFF, (cdef >> 8) & 0xFF,
-                (cdef >> 16) & 0xFF, cdef >> 24)
+    def exponents(self, left_idx: np.ndarray, right_idx: np.ndarray
+                  ) -> np.ndarray:
+        """(n, 6) exponents of the pairs (search_* entry, right entry)."""
+        ab = self.search_packed[left_idx]
+        cdef = self.right_packed[right_idx]
+        return np.stack((ab & 0xFFFF, ab >> 16, cdef & 0xFF,
+                         (cdef >> 8) & 0xFF, (cdef >> 16) & 0xFF, cdef >> 24),
+                        axis=1)
 
 
-_GROUP_CACHE: dict[int, _SmoothGroups] = {}
-
-
-def _groups_for(digest_length: int) -> _SmoothGroups:
-    if digest_length not in _GROUP_CACHE:
-        _GROUP_CACHE[digest_length] = _SmoothGroups(digest_length)
-    return _GROUP_CACHE[digest_length]
+_groups_for = functools.cache(_SmoothGroups)  # one table set per l
 
 
 # Near the 16^l ceiling almost no 13-smooth number is packable (every
@@ -260,41 +280,30 @@ class _ZoneCatalog:
     """All packable values with ln(16^l / v) < _ZONE_DEPTH, exact."""
 
     def __init__(self, digest_length: int):
-        deltas = [(f, _factor_exponents(f), math.log(16 / f))
+        deltas = [(_factor_exponents(f), math.log(16 / f))
                   for f in range(15, 2, -1)
                   if math.log(16 / f) <= _ZONE_DEPTH + 1e-9]
-        seen: set[tuple] = set()
+        seen = {(4 * digest_length, 0, 0, 0, 0, 0)}
 
         def rec(idx: int, budget: float, k: int, exps):
             if k > 0:
-                full = (exps[0] + 4 * (digest_length - k),) + exps[1:]
-                if full not in seen and pack_into_slots(
-                        full, digest_length) is not None:
-                    seen.add(full)
+                seen.add((exps[0] + 4 * (digest_length - k),) + exps[1:])
             if k == digest_length:
                 return
             for at in range(idx, len(deltas)):
-                _, fe, delta = deltas[at]
+                fe, delta = deltas[at]
                 if delta <= budget:
                     rec(at, budget - delta, k + 1,
                         tuple(a + b for a, b in zip(exps, fe)))
 
-        seen.add((4 * digest_length, 0, 0, 0, 0, 0))
         rec(0, _ZONE_DEPTH + 1e-9, 0, (0, 0, 0, 0, 0, 0))
-        entries = [SmoothFactorization.from_exponents(e) for e in seen]
-        pairs = sorted(((math.log(e.value), e) for e in entries),
-                       key=lambda p: (p[0], p[1].value))
-        self.logs = np.asarray([p[0] for p in pairs])
-        self.facts = [p[1] for p in pairs]
+        exps = np.asarray(list(seen), np.int64)
+        self.exps = exps[_slots_used(exps) <= digest_length]
+        self.logs = np.asarray([math.log(_value(e))
+                                for e in self.exps.tolist()])
 
 
-_ZONE_CACHE: dict[int, _ZoneCatalog] = {}
-
-
-def _zone_for(digest_length: int) -> _ZoneCatalog:
-    if digest_length not in _ZONE_CACHE:
-        _ZONE_CACHE[digest_length] = _ZoneCatalog(digest_length)
-    return _ZONE_CACHE[digest_length]
+_zone_for = functools.cache(_ZoneCatalog)
 
 
 def smooth_search(nv_target, digest_length: int,
@@ -304,16 +313,15 @@ def smooth_search(nv_target, digest_length: int,
     Raises WidenToleranceError (carrying the nearest packable candidate)
     if nothing lands within |ln(value/nv_target)| <= tolerance.
     """
-    target = Fraction(nv_target)
+    target = _finite_fraction(nv_target, "nv_target")
     if target < 1:
         raise ValueError("nv_target must be >= 1")
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    if not tolerance > 0:  # also refuses NaN
+        raise ValueError(f"tolerance must be positive, got {tolerance!r}")
     groups = _groups_for(digest_length)
     ln_target = _ln_fraction(target)
 
-    # ascending, since search_logs descends; the left order decides only
-    # which of two pairs of equal error the window visits first
+    # ascending, since search_logs descends
     resid = ln_target - groups.search_logs
     right_logs = groups.right_logs
     # pairs above the zone floor are the catalog's job; excluding them
@@ -326,26 +334,23 @@ def smooth_search(nv_target, digest_length: int,
         np.where(pos < limit, right_logs[np.minimum(pos, len(right_logs) - 1)]
                  - resid, np.inf))
 
-    best: tuple[float, SmoothFactorization] | None = None
-    ties: list[SmoothFactorization] = []
+    # the packable pairs seen so far, and the least of their errors
+    kept_errs: list[np.ndarray] = []
+    kept_exps: list[np.ndarray] = []
+    best = math.inf
 
     # seed best from the near-ceiling catalog when the target can reach it
     if ln_target > groups.zone_floor - 1.0:
         zone = _zone_for(digest_length)
-        errs = np.abs(zone.logs - ln_target)
-        z_best = float(errs.min())
-        for idx in np.flatnonzero(errs <= z_best + _TIE_EPS):
-            fact = zone.facts[int(idx)]
-            if best is None:
-                best = (z_best, fact)
-            else:
-                ties.append(fact)
+        kept_errs.append(np.abs(zone.logs - ln_target))
+        kept_exps.append(zone.exps)
+        best = float(kept_errs[0].min())
 
-    # Each round takes the pairs within error t that no earlier round took,
-    # in error order, so the rounds visit pairs in |log error| order as far
-    # as best + _TIE_EPS.  A pair is new unless its row was live last round
-    # and it lay in that round's search range: testing the range, not the
-    # error, lets no pair slip between two rounds when resid -+ t rounds.
+    # Each round keeps the packable pairs within error t that no earlier
+    # round took, until t passes best + _TIE_EPS.  A pair is new unless its
+    # row was live last round and it lay in that round's search range:
+    # testing the range, not the error, lets no pair slip between two
+    # rounds when resid -+ t rounds.
     t, prev_t = float(near.min()), -math.inf
     while True:
         rows = np.flatnonzero(near <= t)
@@ -359,37 +364,29 @@ def smooth_search(nv_target, digest_length: int,
                                           counts)
         ri, rj = resid[i], right_logs[j]
         new = (near[i] > prev_t) | (rj < ri - prev_t) | (rj > ri + prev_t)
-        i, j, err = i[new], j[new], np.abs(ri[new] - rj[new])
-        by_err = np.argsort(err, kind="stable")
-        for e, left, right in zip(err[by_err].tolist(), i[by_err].tolist(),
-                                  j[by_err].tolist()):
-            if best is not None and e > best[0] + _TIE_EPS:
-                break
-            exps = groups.exponents(left, right)
-            if pack_into_slots(exps, digest_length) is None:
-                continue
-            fact = SmoothFactorization.from_exponents(exps)
-            if best is None or e < best[0] - _TIE_EPS:
-                if best is not None:
-                    ties.append(best[1])
-                best = (e, fact)
-            else:
-                ties.append(fact)
-        if best is not None and best[0] + _TIE_EPS <= t or t > groups.cap:
+        if new.any():  # about a third of rounds only widen t
+            exps = groups.exponents(i[new], j[new])
+            packable = _slots_used(exps) <= digest_length
+            kept_errs.append(np.abs(ri[new] - rj[new])[packable])
+            kept_exps.append(exps[packable])
+            best = float(kept_errs[-1].min(initial=best))
+        if best + _TIE_EPS <= t or t > groups.cap:
             break
         # from an exact hit (t = 0) step straight to _TIE_EPS
-        prev_t, t = t, max(2 * t, _TIE_EPS)
-        if best is not None:
-            t = min(t, best[0] + _TIE_EPS)
+        prev_t, t = t, min(max(2 * t, _TIE_EPS), best + _TIE_EPS)
 
-    if best is None:
+    if best == math.inf:
         raise RuntimeError("smooth search found no packable value")
+
+    errs, all_exps = np.concatenate(kept_errs), np.concatenate(kept_exps)
 
     def exact_key(f: SmoothFactorization):
         ratio = Fraction(f.value) / target
         return (ratio if ratio >= 1 else 1 / ratio, f.value)
 
-    fact = min([best[1], *ties], key=exact_key)
+    fact = min((SmoothFactorization.from_exponents(e)
+                for e in all_exps[errs <= best + _TIE_EPS].tolist()),
+               key=exact_key)
     slots = pack_into_slots(fact.exponents, digest_length)
     assert slots is not None
 

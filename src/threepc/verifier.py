@@ -114,8 +114,7 @@ def proof_of_work(hit_count: int, expected_r: float,
 
     Passes iff |hit_count - expected_r| <= z_threshold * sqrt(expected_r).
     """
-    if expected_r <= 0:
-        raise ValueError("expected_r must be positive")
+    _check_pow_inputs(expected_r, z_threshold)
     z = (hit_count - expected_r) / math.sqrt(expected_r)
     return PowResult(abs(z) <= z_threshold, z)
 
@@ -143,6 +142,16 @@ def _check_sample_size(sample_size: int) -> None:
         raise ValueError("sample_size must be >= 1")
 
 
+def _check_pow_inputs(expected_r: float, z_threshold: float) -> None:
+    # written so that NaN fails each test: a NaN z-score fails every
+    # count, and an honest server would be accused
+    if not 0 < expected_r < math.inf:
+        raise ValueError(f"expected_r must be positive and finite, "
+                         f"got {expected_r!r}")
+    if not z_threshold > 0:
+        raise ValueError(f"z_threshold must be positive, got {z_threshold!r}")
+
+
 def verify(potfile_path: str | Path, target: Digest, v: PredicateVector,
            algo_id: str, expected_r: float,
            z_threshold: float = DEFAULT_Z_THRESHOLD,
@@ -151,6 +160,7 @@ def verify(potfile_path: str | Path, target: Digest, v: PredicateVector,
     """Full CHK-CS: target lookup, proof of work, spot check, over one
     read of the potfile."""
     _check_sample_size(spot_sample)
+    _check_pow_inputs(expected_r, z_threshold)
     width = _digest_width(algo_id, target, v)
     index = potfile.PotfileIndex.read(potfile_path, width)
     hit_count = potfile.count_records(index, width)

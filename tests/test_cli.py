@@ -345,6 +345,16 @@ def _plan_argv(tmp_path, *flags):
             "--plan-store", str(tmp_path / "p"), *flags]
 
 
+def _verify_argv(tmp_path, capsys, *flags):
+    """verify of an honest offline run, with the given flags."""
+    plan_path, corpus, _ = make_plan(tmp_path, capsys)
+    pot = tmp_path / "honest.pot"
+    assert client_main(["run", "--plan", str(plan_path), "--out", str(pot),
+                        "--offline", "--corpus-file", str(corpus)]) == EXIT_OK
+    capsys.readouterr()
+    return ["verify", "--plan", str(plan_path), "--potfile", str(pot), *flags]
+
+
 def _empty_corpus(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_bytes(b"")
@@ -366,8 +376,20 @@ class TestFailureMapping:
             "run", "--plan", str(make_plan(t, capsys)[0]),
             "--out", str(t / "x.pot"), "--server", "127.0.0.1:1",
             "--corpus-file", str(t / "corpus.txt")],
+        lambda t, _: _plan_argv(t, "--keyspace", "mask:?d?d", "--r", "inf"),
+        lambda t, _: ["genv", "--algo", "crc32", "--target", "00000000",
+                      "--nv", "inf", "--plan-store", str(t / "p")],
+        lambda t, _: _plan_argv(t, "--keyspace", "mask:?d?d", "--r", "1",
+                                "--tolerance", "nan"),
+        lambda t, capsys: _verify_argv(t, capsys, "--z-threshold", "nan"),
+        lambda t, capsys: _verify_argv(t, capsys, "--z-threshold", "-1"),
+        lambda t, capsys: _verify_argv(t, capsys, "--expected-r", "nan"),
+        lambda t, capsys: _verify_argv(t, capsys, "--expected-r", "inf"),
+        lambda t, capsys: _verify_argv(t, capsys, "--expected-r", "-3"),
     ], ids=["r-zero", "tolerance-zero", "nv-below-one", "genv-nv-below-one",
-            "empty-corpus-file", "inline-corpus-over-cap"])
+            "empty-corpus-file", "inline-corpus-over-cap", "r-inf", "nv-inf",
+            "tolerance-nan", "z-threshold-nan", "z-threshold-negative",
+            "expected-r-nan", "expected-r-inf", "expected-r-negative"])
     def test_mapped_failure_exits_two(self, tmp_path, capsys, monkeypatch,
                                       argv_for):
         argv = argv_for(tmp_path, capsys)

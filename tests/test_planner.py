@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import threading
@@ -345,8 +346,9 @@ class TestPlanNv:
     def test_zero_keyspace_rejected(self):
         with pytest.raises(ValueError):
             plan_nv(0, 10, 8)
-        with pytest.raises(ValueError):
-            plan_nv(10, 0, 8)
+        for r in (0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                plan_nv(10, r, 8)
 
 
 class TestSmoothSearch:
@@ -462,10 +464,10 @@ class TestSmoothSearch:
         assert a == b
 
     def test_bad_inputs(self):
-        with pytest.raises(ValueError):
-            smooth_search(0.5, 8)
-        with pytest.raises(ValueError):
-            smooth_search(100, 8, tolerance=0)
+        for nv, tolerance in [(0.5, 0.05), (100, 0), (100, math.nan),
+                              (math.inf, 0.05), (math.nan, 0.05)]:
+            with pytest.raises(ValueError):
+                smooth_search(nv, 8, tolerance)
 
 
 class TestSmoothTables:
@@ -520,10 +522,11 @@ class TestSmoothTables:
             tracemalloc.stop()
         assert peak < 100 * 2 ** 20
 
-    @pytest.mark.parametrize("length", [1, 8, 32, 64])
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 8, 32, 64])
     def test_pack_into_slots_matches_first_fit_reference(self, length):
         rng = random.Random(length)
         outcomes = set()
+        drawn = []
         for _ in range(400):
             # per-prime counts around what l slots can hold, so that both
             # packable and unpackable tuples occur
@@ -533,7 +536,31 @@ class TestSmoothTables:
             got = pack_into_slots(exps, length)
             assert got == reference_pack_into_slots(exps, length), exps
             outcomes.add(got is None)
+            drawn.append(exps)
         assert outcomes == {True, False}
+        # the closed-form slot count decides packability as first fit
+        # does: on the drawn tuples, and at l <= 4 on every tuple within
+        # the per-prime bounds p^e <= 16^l
+        if length <= 4:
+            bounds = [max(e for e in range(4 * length + 1)
+                          if p ** e <= 16 ** length)
+                      for p in (2, 3, 5, 7, 11, 13)]
+            drawn += itertools.product(*(range(b + 1) for b in bounds))
+        fits = planner._slots_used(np.asarray(drawn)) <= length
+        assert fits.tolist() == [pack_into_slots(e, length) is not None
+                                 for e in drawn]
+
+    def test_warm_search_packs_only_the_answer(self, monkeypatch):
+        # 3.1 below ln 16^64, where nearly every pair near the target is
+        # unpackable; packability is counted over each round's pairs at
+        # once, so only the chosen value goes through pack_into_slots
+        nv = math.exp(64 * math.log(16) - 3.1)
+        smooth_search(nv, 64)  # builds the tables
+        pack, calls = planner.pack_into_slots, []
+        monkeypatch.setattr(planner, "pack_into_slots",
+                            lambda *args: calls.append(args) or pack(*args))
+        smooth_search(nv, 64)
+        assert len(calls) == 1
 
 
 class TestSmoothTypes:

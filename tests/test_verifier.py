@@ -137,8 +137,13 @@ class TestProofOfWork:
         assert zs == sorted(zs)
 
     def test_requires_positive_expectation(self):
-        with pytest.raises(ValueError):
-            proof_of_work(1, 0.0)
+        # and a finite one, and a positive threshold: each NaN among them
+        # would fail every count
+        for expected_r, z_threshold in [(0.0, 3.0), (math.nan, 3.0),
+                                        (math.inf, 3.0), (1.0, math.nan),
+                                        (1.0, -1.0), (1.0, 0.0)]:
+            with pytest.raises(ValueError):
+                proof_of_work(1, expected_r, z_threshold)
 
 
 class TestSpotCheck:
@@ -218,11 +223,16 @@ class TestVerify:
             with pytest.raises(LengthMismatchError):
                 verify(pot, target, v, "crc32", expected_r=1.0)
 
-    def test_zero_spot_sample_fails_before_the_file_is_read(self, tmp_path):
+    def test_bad_flags_fail_before_the_file_is_read(self, tmp_path):
         target = hashers.digest("crc32", b"pw")
-        with pytest.raises(ValueError, match="sample_size"):
-            verify(tmp_path / "missing.pot", target, zk_vector(8), "crc32",
-                   expected_r=1.0, spot_sample=0)
+        for kwargs, match in [({"spot_sample": 0}, "sample_size"),
+                              ({"z_threshold": math.nan}, "z_threshold"),
+                              ({"z_threshold": -1.0}, "z_threshold"),
+                              ({"expected_r": math.nan}, "expected_r"),
+                              ({"expected_r": math.inf}, "expected_r")]:
+            with pytest.raises(ValueError, match=match):
+                verify(tmp_path / "missing.pot", target, zk_vector(8),
+                       "crc32", **{"expected_r": 1.0, **kwargs})
 
 
 # ---------------------------------------------------------------------------
