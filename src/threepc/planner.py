@@ -9,8 +9,9 @@ space; gen_v then turns a slot packing into a concrete vector around the
 target digest.
 
 The search pairs each (2, 3) product with a sorted table of (5, 7, 11,
-13) products and widens one error window, doubling it, until it holds
-the best packable pair, so it is exact: the returned value minimizes
+13) products, keeping only halves that pack into l slots on their own,
+and widens one error window, doubling it, until it holds the best
+packable pair, so it is exact: the returned value minimizes
 |ln(value/nv)| among all packable 13-smooth numbers, ties broken toward
 the smaller value.  Packability is a closed-form count over the six
 exponents (_slots_used), so each round tests all of its pairs at once;
@@ -133,22 +134,22 @@ def pack_into_slots(exponents, n_slots: int) -> tuple[int, ...] | None:
     """First-fit-decreasing of the prime factors (largest first) into
     n_slots with per-slot product capped at 16; None if it does not fit.
 
-    The factors of one prime are identical, so first fit fills the first
-    slot that takes one until it is full, then the next: each prime is
-    placed slot by slot, in O(n_slots), not factor by factor."""
-    slots = [1] * n_slots
-    for p, e in zip((13, 11, 7, 5, 3, 2), reversed(tuple(exponents))):
-        for i in range(n_slots):
-            if not e:
-                break
-            s = slots[i]
-            while e and s * p <= 16:
-                s *= p
-                e -= 1
-            slots[i] = s
-        if e:
-            return None
-    return tuple(slots)
+    The slots follow from _slots_used's counts, in the order first fit
+    opens them: 13s, 11s, 7s (first those with a 2: 14), 5s (with a 3: 15,
+    then with a 2: 10), 9s, a lone 3 (with up to two 2s), then 2s by four."""
+    a, b, c, d, e, f = (int(x) for x in exponents)
+    fifteens, threes = min(b, c), max(b - c, 0)
+    fourteens = min(a, d)
+    tens = min(a - fourteens, c - fifteens)
+    with_three = min(a - fourteens - tens, 2 * (threes % 2))
+    twos = a - fourteens - tens - with_three
+    slots = ([13] * f + [11] * e + [14] * fourteens + [7] * (d - fourteens)
+             + [15] * fifteens + [10] * tens + [5] * (c - fifteens - tens)
+             + [9] * (threes // 2) + [3 << with_three] * (threes % 2)
+             + [16] * (twos // 4) + ([1 << twos % 4] if twos % 4 else []))
+    if len(slots) > n_slots:
+        return None
+    return tuple(slots) + (1,) * (n_slots - len(slots))
 
 
 def _slots_used(exps: np.ndarray) -> np.ndarray:
@@ -166,21 +167,12 @@ def _slots_used(exps: np.ndarray) -> np.ndarray:
 
 
 def _extend(logs: np.ndarray, packed: np.ndarray, ln_p: float, shift: int,
-            cap: float) -> tuple[np.ndarray, np.ndarray]:
+            counts) -> tuple[np.ndarray, np.ndarray]:
     """Expand every row (base log, packed exponents) by one more prime:
-    row i becomes rows base_i + k*ln_p for k = 0, 1, ... while that sum is
-    <= cap, in row order, with k packed at `shift`.  The sums are the same
-    float operations as the nested loop `base + k * ln_p`, so the logs
-    match it bit for bit."""
-    counts = np.floor((cap - logs) / ln_p).astype(np.int64) + 1
-    # the division may round across an integer; settle each count against
-    # the loop's own test, which is monotone in k
-    while True:
-        over = logs + (counts - 1) * ln_p > cap
-        under = logs + counts * ln_p <= cap
-        if not (over.any() or under.any()):
-            break
-        counts += under.astype(np.int64) - over.astype(np.int64)
+    row i becomes rows base_i + k*ln_p for k = 0 .. counts[i] - 1, in row
+    order, with k packed at `shift`.  The sums are the same float
+    operations as the nested loop `base + k * ln_p`, so the logs match it
+    bit for bit."""
     rows = np.repeat(np.arange(len(logs), dtype=np.int32), counts)
     k = np.arange(len(rows), dtype=packed.dtype)
     k -= np.repeat((np.cumsum(counts) - counts).astype(packed.dtype), counts)
@@ -196,14 +188,18 @@ def _extend(logs: np.ndarray, packed: np.ndarray, ln_p: float, shift: int,
 class _SmoothGroups:
     """Cached per-digest-length enumeration tables for the search.
 
-    left:  2^A * 3^B           <= 16^l  (packed A | B << 16, int64)
-    right: 5^C 7^D 11^E 13^F   <= 16^l  (packed C | D<<8 | E<<16 | F<<24,
-           int32), sorted by log value (stable, from (C, D, E, F) order).
+    left:  2^A * 3^B, A + 2B <= 4l  (packed A | B << 16, int64)
+    right: 5^C 7^D 11^E 13^F, C + D + E + F <= l  (packed C | D<<8 |
+           E<<16 | F<<24, int32), sorted by log (stable, (C, D, E, F) order).
 
-    Built once per process and digest length with numpy, one prime at a
-    time, so no per-entry Python object exists.  At l = 64 the right
-    table has 2.36 M entries (19 MB of logs, 9 MB packed); a cold build
-    takes about 0.35 s on a 2-core host.
+    These are the halves that pack into l slots on their own, all <= 16^l;
+    no other half is part of a packable pair, since adding a prime never
+    frees a slot (a 7, 11 or 13 takes one and frees at most one 2; a 5
+    frees at most one 3 or one 2, and shifts the parity of the 3s).
+
+    Built once per process and l with numpy, one prime at a time, so no
+    per-entry Python object exists.  At l = 64 the tables have 129^2 and
+    C(68, 4) = 814,385 entries (9.8 MB); a cold build takes 0.1 s (2 cores).
 
     smooth_search reads the left table through arrays that depend only on
     l and are built here once: search_logs and search_packed, the left
@@ -211,24 +207,26 @@ class _SmoothGroups:
     queries ln(nv) - log arrive ascending and numpy's binary search
     narrows from the previous one; and search_limit, per entry the
     right-table bound of the pairs below the zone floor (the zone catalog
-    serves those above it).  They add about 0.5 MB at l = 64.  left_logs
+    serves those above it).  They add about 0.4 MB at l = 64.  left_logs
     and left_packed stay in build order.
     """
 
     def __init__(self, digest_length: int):
-        cap = digest_length * math.log(16) + 1e-9
-        self.cap = cap
+        self.cap = cap = digest_length * math.log(16) + 1e-9
 
-        logs, packed = np.zeros(1), np.zeros(1, dtype=np.int64)
-        for ln_p, shift in ((_LN2, 0), (_LN3, 16)):
-            logs, packed = _extend(logs, packed, ln_p, shift, cap)
-        self.left_logs, self.left_packed = logs, packed
+        # 4l + 1 values of A, then (4l - A) // 2 + 1 of B per row
+        logs, packed = _extend(np.zeros(1), np.zeros(1, dtype=np.int64),
+                               _LN2, 0, [4 * digest_length + 1])
+        self.left_logs, self.left_packed = _extend(
+            logs, packed, _LN3, 16, (4 * digest_length - packed) // 2 + 1)
 
-        # F <= 69 at l = 64 (and below 128 up to l = 118), so F << 24
-        # fits in int32
+        # each prime takes k = 0 .. l - (exponents so far) on every row;
+        # F <= l <= 127, so F << 24 fits in int32
         logs, packed = np.zeros(1), np.zeros(1, dtype=np.int32)
         for ln_p, shift in ((_LN5, 0), (_LN7, 8), (_LN11, 16), (_LN13, 24)):
-            logs, packed = _extend(logs, packed, ln_p, shift, cap)
+            used = sum((packed >> s) & 0xFF for s in (0, 8, 16))
+            logs, packed = _extend(logs, packed, ln_p, shift,
+                                   digest_length + 1 - used)
         order = np.argsort(logs, kind="stable").astype(np.int32)
         self.right_logs = logs[order]
         del logs
@@ -313,6 +311,8 @@ def smooth_search(nv_target, digest_length: int,
     Raises WidenToleranceError (carrying the nearest packable candidate)
     if nothing lands within |ln(value/nv_target)| <= tolerance.
     """
+    if not 0 <= digest_length <= 127:  # the packed int32 fields hold 127
+        raise ValueError(f"digest_length {digest_length!r} is not in [0, 127]")
     target = _finite_fraction(nv_target, "nv_target")
     if target < 1:
         raise ValueError("nv_target must be >= 1")

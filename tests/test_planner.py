@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threepc import planner
 from threepc.planner import (
@@ -469,58 +471,88 @@ class TestSmoothSearch:
             with pytest.raises(ValueError):
                 smooth_search(nv, 8, tolerance)
 
+    @pytest.mark.parametrize("length", [-1, 128])
+    def test_digest_length_out_of_range(self, length, monkeypatch):
+        # the right table packs F at bit 24 of an int32, F <= l; refused
+        # before any table is built
+        def no_tables(_):
+            raise AssertionError("built a table")
+        monkeypatch.setattr(planner, "_groups_for", no_tables)
+        with pytest.raises(ValueError, match="digest_length"):
+            smooth_search(100, length)
+
 
 class TestSmoothTables:
     @pytest.mark.parametrize("length", list(range(1, 17)) + [32, 64])
     def test_tables_match_loop_reference_bit_for_bit(self, length):
+        # the planner keeps only the entries that pack into l slots on
+        # their own (the test below shows no other entry is ever packed)
         groups = planner._SmoothGroups(length)
         left_logs, left_packed, right_logs, right_packed = (
             reference_smooth_groups(length))
+        zero = np.zeros_like(left_packed)
+        left = planner._slots_used(np.stack(
+            (left_packed & 0xFFFF, left_packed >> 16) + (zero,) * 4,
+            axis=1)) <= length
+        zero = np.zeros_like(right_packed)
+        right = planner._slots_used(np.stack(
+            (zero, zero, right_packed & 0xFF, (right_packed >> 8) & 0xFF,
+             (right_packed >> 16) & 0xFF, right_packed >> 24),
+            axis=1)) <= length
         assert np.array_equal(groups.left_logs.view(np.int64),
-                              left_logs.view(np.int64))
-        assert np.array_equal(groups.left_packed, left_packed)
+                              left_logs[left].view(np.int64))
+        assert np.array_equal(groups.left_packed, left_packed[left])
         assert np.array_equal(groups.right_logs.view(np.int64),
-                              right_logs.view(np.int64))
-        assert np.array_equal(groups.right_packed, right_packed)
+                              right_logs[right].view(np.int64))
+        assert np.array_equal(groups.right_packed, right_packed[right])
+        assert len(groups.left_logs) == (2 * length + 1) ** 2
+        assert len(groups.right_logs) == math.comb(length + 4, 4)
 
-    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
-    def test_extend_settles_counts_on_rounding_boundaries(self, p):
-        # bases a few ulps either side of cap - k*ln(p), where the
-        # division-based count is off by one in both directions
-        ln_p = math.log(p)
-        cap = 64 * math.log(16) + 1e-9
-        bases = []
-        for k in range(int(cap / ln_p) + 1):
-            for step in range(-4, 5):
-                b = cap - k * ln_p
-                for _ in range(abs(step)):
-                    b = math.nextafter(b, math.copysign(math.inf, step))
-                if 0 <= b <= cap:
-                    bases.append(b)
-        logs, packed = planner._extend(
-            np.asarray(bases), np.arange(len(bases), dtype=np.int64),
-            ln_p, 32, cap)
-        want_logs, want_packed = [], []
-        for row, base in enumerate(bases):
-            k = 0
-            while base + k * ln_p <= cap:
-                want_logs.append(base + k * ln_p)
-                want_packed.append(row | (k << 32))
-                k += 1
-        assert np.array_equal(logs.view(np.int64),
-                              np.asarray(want_logs).view(np.int64))
-        assert packed.tolist() == want_packed
+    @staticmethod
+    def check_halves_lemma(exps: np.ndarray, length: int) -> None:
+        """A pair packs only if each half packs alone, and each half packs
+        iff its integer budget holds: A + 2B <= 4l, C + D + E + F <= l."""
+        left, right = exps.copy(), exps.copy()
+        left[:, 2:] = 0
+        right[:, :2] = 0
+        used = planner._slots_used(exps)
+        left_used = planner._slots_used(left)
+        right_used = planner._slots_used(right)
+        assert (used >= np.maximum(left_used, right_used)).all()
+        a, b, c, d, e, f = exps.T
+        assert ((left_used <= length) == (a + 2 * b <= 4 * length)).all()
+        assert ((right_used <= length) == (c + d + e + f <= length)).all()
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 4])
+    def test_halves_lemma_exhaustive(self, length):
+        # every tuple up to one past the budgets, so that both sides of
+        # each bound occur
+        bounds = (4 * length + 2, 2 * length + 2) + (length + 2,) * 4
+        exps = np.asarray(list(itertools.product(
+            *(range(b + 1) for b in bounds))))
+        self.check_halves_lemma(exps, length)
+
+    @pytest.mark.parametrize("length", [8, 32, 64])
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_halves_lemma_drawn(self, length, data):
+        caps = (4 * length, 2 * length) + (length,) * 4
+        exps = data.draw(st.lists(
+            st.tuples(*(st.integers(0, c + 2) for c in caps)),
+            min_size=1, max_size=50))
+        self.check_halves_lemma(np.asarray(exps), length)
 
     def test_l64_build_creates_no_per_entry_objects(self):
         # the loop build peaks near 308 MiB under tracemalloc (2.36 M
-        # floats and ints in lists); the numpy build near 57 MiB
+        # floats and ints in lists); the numpy build of the packable
+        # entries (814,385 on the right) near 20 MiB
         tracemalloc.start()
         try:
             planner._SmoothGroups(64)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 100 * 2 ** 20
+        assert peak < 40 * 2 ** 20
 
     @pytest.mark.parametrize("length", [1, 2, 3, 4, 8, 32, 64])
     def test_pack_into_slots_matches_first_fit_reference(self, length):
