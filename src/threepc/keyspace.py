@@ -18,6 +18,7 @@ sized by ``_BLOCK_CAP`` as it stands at first use.
 
 from __future__ import annotations
 
+import re
 import string
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -114,8 +115,7 @@ class KeyspaceSpec:
         return prod(sizes), block, suffixes, prefix_for
 
 
-def ingest_wordlist(raw: bytes, max_len: int = MAX_CANDIDATE_LEN
-                    ) -> tuple[tuple[bytes, ...], IngestReport]:
+def ingest_wordlist(raw: bytes) -> tuple[tuple[bytes, ...], IngestReport]:
     """Normalize line endings, drop empties and overlong lines, dedup
     preserving first occurrence.  Bytes are otherwise opaque."""
     words: list[bytes] = []
@@ -125,7 +125,7 @@ def ingest_wordlist(raw: bytes, max_len: int = MAX_CANDIDATE_LEN
         if not line:
             empty += 1
             continue
-        if len(line) > max_len:
+        if len(line) > MAX_CANDIDATE_LEN:
             overlong += 1
             continue
         if line in seen:
@@ -162,52 +162,47 @@ class DirectoryCorpus:
         return self._cache[name]
 
 
+# One mask token: ?<tag> (tag empty: a dangling ?), a [...] union (close
+# empty: no ] follows), or a literal character.
+_MASK_TOKEN = re.compile(r"\?(.?)|\[([^\]]*)(\]?)|(.)", re.S)
+_UNION_PART = re.compile(r"\?(.)|.", re.S)  # ?<class>, or a stray char
+
+
+def _charset(tags: str, where: str) -> tuple[bytes, ...]:
+    """The characters of a run of ?<class> tags, in order, each once."""
+    chars = bytearray()
+    for part in _UNION_PART.finditer(tags):
+        if part[1] is None:
+            raise KeyspaceError(f"bad union body {tags!r}")
+        if part[1] not in _CLASS_CHARS:
+            raise KeyspaceError(f"unknown mask class ?{part[1]}{where}")
+        chars += _CLASS_CHARS[part[1]]
+    return tuple(bytes([c]) for c in dict.fromkeys(chars))
+
+
 def _parse_mask_tokens(mask: str, allow_word: bool
                        ) -> tuple[tuple[bytes, ...] | None, ...]:
     tokens: list[tuple[bytes, ...] | None] = []
-    i = 0
-    while i < len(mask):
-        c = mask[i]
-        if c == "?":
-            if i + 1 >= len(mask):
-                raise KeyspaceError("dangling '?' in mask")
-            tag = mask[i + 1]
-            if tag == "?":
-                tokens.append((b"?",))
-            elif tag == "w":
-                if not allow_word:
-                    raise KeyspaceError("?w is only valid in hybrid mode")
-                tokens.append(None)
-            elif tag in _CLASS_CHARS:
-                chars = _CLASS_CHARS[tag]
-                tokens.append(tuple(chars[j:j + 1] for j in range(len(chars))))
-            else:
-                raise KeyspaceError(f"unknown mask class ?{tag}")
-            i += 2
-        elif c == "[":
-            end = mask.find("]", i)
-            if end < 0:
-                raise KeyspaceError("unterminated '[' in mask")
-            body = mask[i + 1:end]
-            merged = bytearray()
-            j = 0
-            while j < len(body):
-                if body[j] != "?" or j + 1 >= len(body):
-                    raise KeyspaceError(f"bad union body {body!r}")
-                tag = body[j + 1]
-                if tag not in _CLASS_CHARS:
-                    raise KeyspaceError(f"unknown mask class ?{tag} in union")
-                for ch in _CLASS_CHARS[tag]:
-                    if ch not in merged:
-                        merged.append(ch)
-                j += 2
-            if not merged:
-                raise KeyspaceError("empty union token")
-            tokens.append(tuple(bytes([ch]) for ch in merged))
-            i = end + 1
+    for m in _MASK_TOKEN.finditer(mask):
+        tag, body, close, literal = m.groups()
+        if literal is not None:
+            tokens.append((literal.encode("utf-8"),))
+        elif tag == "":
+            raise KeyspaceError("dangling '?' in mask")
+        elif tag == "?":
+            tokens.append((b"?",))
+        elif tag == "w":
+            if not allow_word:
+                raise KeyspaceError("?w is only valid in hybrid mode")
+            tokens.append(None)
+        elif tag is not None:
+            tokens.append(_charset("?" + tag, ""))
+        elif not close:
+            raise KeyspaceError("unterminated '[' in mask")
+        elif not body:
+            raise KeyspaceError("empty union token")
         else:
-            tokens.append((c.encode("utf-8"),))
-            i += 1
+            tokens.append(_charset(body, " in union"))
     if not tokens:
         raise KeyspaceError("empty mask")
     return tuple(tokens)

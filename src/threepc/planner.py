@@ -14,8 +14,8 @@ and widens one error window, doubling it, until it holds the best
 packable pair, so it is exact: the returned value minimizes
 |ln(value/nv)| among all packable 13-smooth numbers, ties broken toward
 the smaller value.  Packability is a closed-form count over the six
-exponents (_slots_used), so each round tests all of its pairs at once;
-pack_into_slots builds the chosen value's slots only.
+exponents (_slots_used), so each round tests every pair within the
+window at once; pack_into_slots builds the chosen value's slots only.
 """
 
 from __future__ import annotations
@@ -334,24 +334,17 @@ def smooth_search(nv_target, digest_length: int,
         np.where(pos < limit, right_logs[np.minimum(pos, len(right_logs) - 1)]
                  - resid, np.inf))
 
-    # the packable pairs seen so far, and the least of their errors
-    kept_errs: list[np.ndarray] = []
-    kept_exps: list[np.ndarray] = []
-    best = math.inf
-
-    # seed best from the near-ceiling catalog when the target can reach it
+    # the near-ceiling catalog's values, when the target can reach them
+    zone_errs, zone_exps = np.empty(0), np.empty((0, 6), np.int64)
     if ln_target > groups.zone_floor - 1.0:
         zone = _zone_for(digest_length)
-        kept_errs.append(np.abs(zone.logs - ln_target))
-        kept_exps.append(zone.exps)
-        best = float(kept_errs[0].min())
+        zone_errs, zone_exps = np.abs(zone.logs - ln_target), zone.exps
+    best = float(zone_errs.min(initial=math.inf))
 
-    # Each round keeps the packable pairs within error t that no earlier
-    # round took, until t passes best + _TIE_EPS.  A pair is new unless its
-    # row was live last round and it lay in that round's search range:
-    # testing the range, not the error, lets no pair slip between two
-    # rounds when resid -+ t rounds.
-    t, prev_t = float(near.min()), -math.inf
+    # Each round tests every pair within error t and lowers best to the
+    # least packable error, until t passes best + _TIE_EPS.  t only grows,
+    # so the last round holds every pair that can tie best.
+    t = float(near.min())
     while True:
         rows = np.flatnonzero(near <= t)
         r = resid[rows]
@@ -362,30 +355,27 @@ def smooth_search(nv_target, digest_length: int,
         i = np.repeat(rows, counts)
         j = np.arange(len(i)) + np.repeat(lo + counts - np.cumsum(counts),
                                           counts)
-        ri, rj = resid[i], right_logs[j]
-        new = (near[i] > prev_t) | (rj < ri - prev_t) | (rj > ri + prev_t)
-        if new.any():  # about a third of rounds only widen t
-            exps = groups.exponents(i[new], j[new])
-            packable = _slots_used(exps) <= digest_length
-            kept_errs.append(np.abs(ri[new] - rj[new])[packable])
-            kept_exps.append(exps[packable])
-            best = float(kept_errs[-1].min(initial=best))
+        exps = groups.exponents(i, j)
+        packable = _slots_used(exps) <= digest_length
+        errs, exps = np.abs(resid[i] - right_logs[j])[packable], exps[packable]
+        best = float(errs.min(initial=best))
         if best + _TIE_EPS <= t or t > groups.cap:
             break
         # from an exact hit (t = 0) step straight to _TIE_EPS
-        prev_t, t = t, min(max(2 * t, _TIE_EPS), best + _TIE_EPS)
+        t = min(max(2 * t, _TIE_EPS), best + _TIE_EPS)
 
     if best == math.inf:
         raise RuntimeError("smooth search found no packable value")
 
-    errs, all_exps = np.concatenate(kept_errs), np.concatenate(kept_exps)
+    errs, exps = (np.concatenate((errs, zone_errs)),
+                  np.concatenate((exps, zone_exps)))
 
     def exact_key(f: SmoothFactorization):
         ratio = Fraction(f.value) / target
         return (ratio if ratio >= 1 else 1 / ratio, f.value)
 
     fact = min((SmoothFactorization.from_exponents(e)
-                for e in all_exps[errs <= best + _TIE_EPS].tolist()),
+                for e in exps[errs <= best + _TIE_EPS].tolist()),
                key=exact_key)
     slots = pack_into_slots(fact.exponents, digest_length)
     assert slots is not None

@@ -143,9 +143,6 @@ class PotfileWriter:
         """write_hits of the batch of (password, raw digest) pairs."""
         self.write_hits(Hits.from_pairs(pairs))
 
-    def flush(self) -> None:
-        self._fh.flush()
-
     def close(self) -> None:
         self._fh.close()
 

@@ -393,22 +393,32 @@ class CrackServer:
         self.max_frame = max_frame
         self._tcp = _TCPServer((host, port), _JobHandler)
         self._tcp.owner = self  # type: ignore[attr-defined]
+        self._served = False
 
     @property
     def address(self) -> tuple[str, int]:
         return self._tcp.server_address[:2]
 
     def serve_forever(self) -> None:
+        self._served = True
         self._tcp.serve_forever()
 
     def serve_in_background(self) -> threading.Thread:
-        thread = threading.Thread(target=self.serve_forever, daemon=True)
+        self._served = True  # before the thread runs: see shutdown
+        thread = threading.Thread(target=self._tcp.serve_forever, daemon=True)
         thread.start()
         return thread
 
     def shutdown(self) -> None:
-        self._tcp.shutdown()
-        self._tcp.server_close()
+        """Stop the serve loop, if one was started, and close the socket.
+        socketserver's shutdown blocks until a loop ends, so it would hang
+        on a server that never served; a loop asked to stop before it
+        starts ends at once."""
+        try:
+            if self._served:
+                self._tcp.shutdown()
+        finally:
+            self._tcp.server_close()
 
     def __enter__(self) -> "CrackServer":
         return self
@@ -425,6 +435,8 @@ def parse_endpoint(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
     if not host or not port.isdigit():
         raise ValueError(f"endpoint must be host:port, got {text!r}")
+    if int(port) > 65535:
+        raise ValueError(f"endpoint port must be at most 65535, got {text!r}")
     return host, int(port)
 
 

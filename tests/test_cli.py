@@ -386,10 +386,15 @@ class TestFailureMapping:
         lambda t, capsys: _verify_argv(t, capsys, "--expected-r", "nan"),
         lambda t, capsys: _verify_argv(t, capsys, "--expected-r", "inf"),
         lambda t, capsys: _verify_argv(t, capsys, "--expected-r", "-3"),
+        # 111175 mod 65536 is a real port: the client must not wrap it
+        lambda t, capsys: [
+            "run", "--plan", str(make_plan(t, capsys)[0]),
+            "--out", str(t / "x.pot"), "--server", "127.0.0.1:111175"],
     ], ids=["r-zero", "tolerance-zero", "nv-below-one", "genv-nv-below-one",
             "empty-corpus-file", "inline-corpus-over-cap", "r-inf", "nv-inf",
             "tolerance-nan", "z-threshold-nan", "z-threshold-negative",
-            "expected-r-nan", "expected-r-inf", "expected-r-negative"])
+            "expected-r-nan", "expected-r-inf", "expected-r-negative",
+            "server-port-over-65535"])
     def test_mapped_failure_exits_two(self, tmp_path, capsys, monkeypatch,
                                       argv_for):
         argv = argv_for(tmp_path, capsys)
@@ -469,6 +474,20 @@ def test_server_flag_below_minimum_exits_two(capsys, monkeypatch, flag, value,
     assert server_main(["--listen", "127.0.0.1:0", flag, value]) == EXIT_PARSE
     err = capsys.readouterr().err
     assert err == f"error: {flag} must be at least {least}, got {value}\n"
+
+
+def test_server_port_over_65535_exits_two(capsys, monkeypatch):
+    from threepc import protocol
+    from threepc.cli import server_main
+
+    def refuse_to_bind(*args, **kwargs):
+        raise AssertionError("the server must not bind")
+
+    monkeypatch.setattr(protocol, "CrackServer", refuse_to_bind)
+    assert server_main(["--listen", "127.0.0.1:99999"]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err == ("error: endpoint port must be at most 65535, got "
+                   "'127.0.0.1:99999'\n")
 
 
 @pytest.mark.usefixtures("tmp_path")

@@ -41,11 +41,31 @@ class TestMaskParsing:
         got = list(enumerate_candidates(spec))
         assert got == [b"ab?#%d" % i for i in range(10)]
 
+    def test_overlapping_unions_keep_first_occurrence_order(self):
+        classes = keyspace._CLASS_CHARS
+        digits_first = parse_descriptor("mask:[?d?a]").tokens[0]
+        assert b"".join(digits_first) == classes["d"] + bytes(
+            c for c in classes["a"] if c not in classes["d"])
+        assert parse_descriptor("mask:[?l?l]").tokens == (
+            parse_descriptor("mask:?l").tokens)
+
     def test_bad_masks_rejected(self):
-        for text in ("mask:?x", "mask:?", "mask:", "mask:[?l", "mask:[xy]",
-                     "mask:?w", "hybrid:w:?d", "hybrid:w:?w?w", "nope:1"):
-            with pytest.raises(KeyspaceError):
+        for text, message in (
+                ("mask:?x", "unknown mask class ?x"),
+                ("mask:?", "dangling '?' in mask"),
+                ("mask:", "empty mask"),
+                ("mask:[?l", "unterminated '[' in mask"),
+                ("mask:[xy]", "bad union body 'xy'"),
+                ("mask:[?l?]", "bad union body '?l?'"),
+                ("mask:[?l?w]", "unknown mask class ?w in union"),
+                ("mask:[]", "empty union token"),
+                ("mask:?w", "?w is only valid in hybrid mode"),
+                ("hybrid:w:?d", "hybrid mask must contain exactly one ?w"),
+                ("hybrid:w:?w?w", "hybrid mask must contain exactly one ?w"),
+                ("nope:1", "unknown keyspace mode 'nope'")):
+            with pytest.raises(KeyspaceError) as err:
                 parse_descriptor(text)
+            assert str(err.value) == message, text
 
 
 class TestWordlistIngestion:

@@ -125,12 +125,14 @@ def reference_smooth_groups(digest_length):
             np.asarray(right_packed)[order])
 
 
-# smooth_search outputs pinned for 60 seeded targets at l = 8, 32 and 64:
+# smooth_search outputs pinned for 69 seeded targets at l = 8, 32 and 64:
 # log-uniform over the range, nv = r * 16^64 / |DS| as plan-sha256 draws
-# it (l = 64 only), near the 16^l ceiling (the zone catalog), and a
-# tolerance too tight for any value (WidenToleranceError; the row pins its
-# nearest).  Row: (l, target float.hex, tolerance, exponents,
-# log_error float.hex, widened, slot widths as hex nibbles of f - 1).
+# it (l = 64 only), near the 16^l ceiling (the zone catalog), just below
+# the catalog with ln(16^l / nv) in [2, 3.5] (l = 32 and 64, the band with
+# the most window rounds), and a tolerance too tight for any value
+# (WidenToleranceError; the row pins its nearest).  Row: (l, target
+# float.hex, tolerance, exponents, log_error float.hex, widened, slot
+# widths as hex nibbles of f - 1).
 GOLDEN_SEARCHES = [
     (8, "0x1.db15bb7880631p+16", 0.05, (4, 2, 1, 0, 0, 2),
      "0x1.f63dce7220000p-12", False,
@@ -312,6 +314,33 @@ GOLDEN_SEARCHES = [
     (64, "0x1.21f8cca55d629p+158", 1e-07, (7, 58, 4, 9, 5, 2),
      "0x1.18f41c0000000p-24", False,
      "ccaaaaaddddddd66eeee88888888888888888888888888800000000000000000"),
+    (32, "0x1.1cfd6bcddfb1dp+123", 0.05, (74, 3, 2, 8, 5, 0),
+     "-0x1.2dccbe0c00000p-16", False,
+     "aaaaaddddddddeebffffffffffffffff"),
+    (32, "0x1.8c0bf3f6c515bp+123", 1e-07, (92, 5, 9, 1, 0, 0),
+     "-0x1.2b53a1bc00000p-18", True,
+     "deeeee9999fffffffffffffffffffff7"),
+    (32, "0x1.5f20a528f8e9dp+123", 0.05, (62, 1, 1, 6, 0, 11),
+     "0x1.0c1b455800000p-18", False,
+     "cccccccccccddddddeffffffffffffff"),
+    (32, "0x1.1d6d821d448acp+123", 1e-07, (80, 4, 1, 2, 3, 5),
+     "-0x1.6c40e48000000p-22", True,
+     "cccccaaadde8bfffffffffffffffffff"),
+    (64, "0x1.77698f1ef25bbp+252", 0.05, (229, 9, 4, 0, 0, 0),
+     "0x1.efa9ee5c00000p-16", False,
+     "eeee88bffffffffffffffffffffffffffffffffffffffffffffffffffffffff7"),
+    (64, "0x1.ab3b1a337b228p+251", 1e-07, (200, 4, 4, 1, 0, 9),
+     "0x1.f4466e0000000p-20", True,
+     "cccccccccdeeeefffffffffffffffffffffffffffffffffffffffffffffffff7"),
+    (64, "0x1.1d4968451f46bp+251", 0.05, (209, 1, 2, 4, 5, 2),
+     "0x1.451961b000000p-18", False,
+     "ccaaaaadddde9fffffffffffffffffffffffffffffffffffffffffffffffffff"),
+    (64, "0x1.2bae468319dcap+251", 1e-07, (184, 3, 3, 0, 0, 15),
+     "-0x1.5f72d19800000p-17", True,
+     "ccccccccccccccceeeffffffffffffffffffffffffffffffffffffffffffffff"),
+    (64, "0x1.d56c0e1f20a76p+251", 0.05, (133, 28, 29, 0, 1, 1),
+     "-0x1.0e8bac2000000p-18", False,
+     "caeeeeeeeeeeeeeeeeeeeeeeeeeeee9fffffffffffffffffffffffffffffffff"),
 ]
 
 

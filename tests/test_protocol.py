@@ -155,8 +155,11 @@ class TestFraming:
 
     def test_parse_endpoint(self):
         assert parse_endpoint("127.0.0.1:3727") == ("127.0.0.1", 3727)
-        with pytest.raises(ValueError):
-            parse_endpoint("nope")
+        assert parse_endpoint("::1:65535") == ("::1", 65535)
+        for text in ("nope", "127.0.0.1:", "127.0.0.1:-1", "127.0.0.1:65536",
+                     "127.0.0.1:111175"):
+            with pytest.raises(ValueError):
+                parse_endpoint(text)
 
 
 def _make_plan(target_pw=b"37", descriptor="mask:?d?d", r=5.0, algo="crc32",
@@ -266,6 +269,27 @@ class TestServer:
             assert reply.code == "frame-too-large"
         finally:
             server.shutdown()
+
+    def test_unserved_server_closes_on_leaving_its_block(self):
+        def enter_and_leave():
+            with protocol.CrackServer("127.0.0.1", 0) as server:
+                ports.append(server.address[1])
+
+        ports: list[int] = []
+        thread = threading.Thread(target=enter_and_leave, daemon=True)
+        thread.start()
+        thread.join(10)
+        assert not thread.is_alive()
+        with socket.socket() as probe:  # the port is free again
+            probe.bind(("127.0.0.1", ports[0]))
+
+    def test_background_server_stops_on_leaving_its_block(self):
+        with protocol.CrackServer("127.0.0.1", 0) as server:
+            loop = server.serve_in_background()
+        loop.join(10)
+        assert not loop.is_alive()
+        with pytest.raises(OSError):
+            socket.create_connection(server.address, timeout=5).close()
 
     def test_bad_descriptor(self, local_server, tmp_path):
         plan = _make_plan(seed=8)
