@@ -31,6 +31,13 @@ order, so a worker blocks once it is one result ahead of the sink.  Jobs
 in concurrent threads fork one at a time (``_FORK_LOCK``), so no worker
 holds another job's write end.
 
+A job may instead take its digests from a ``DigestTable``: the kernel's
+output over the whole keyspace, computed once over the same ranges.
+``_scan_range`` then slices the table where it would call the kernel,
+and the rest of the scan is unchanged.  Such a job hashes nothing, so it
+runs in the calling thread whatever n_workers is: forking a large
+process costs more than the filter it would spread.
+
 The sink receives rows in keyspace enumeration order at any worker
 count: kernels return rows in range order and ranges are consumed in
 index order, so a sink can stream its output byte-reproducibly.
@@ -170,14 +177,63 @@ def _ranges(total: int, n_workers: int) -> Iterator[tuple[int, int]]:
             yield start, stop
 
 
+@dataclass(frozen=True, eq=False)
+class DigestTable:
+    """A keyspace's digests: the (n_hashed, digest bytes) uint8 matrix in
+    enumeration order, and the ascending keyspace offsets of its rows, or
+    None when every candidate was hashed (only ntlm skips some).  Jobs
+    only read it, so concurrent jobs share one table."""
+
+    digests: np.ndarray
+    hashed: np.ndarray | None
+
+    @classmethod
+    def build(cls, spec: keyspace.KeyspaceSpec, algo_id: str
+              ) -> "DigestTable":
+        """One kernel call per range of the serial cut, as crack() makes."""
+        kernel = hashers.block_fn(algo_id)
+        total = keyspace.spec_cardinality(spec)
+        width = hashers.descriptor(algo_id).digest_nibbles // 2
+        digests = np.empty((total, width), np.uint8)
+        kept = np.ones(total, bool)
+        n = 0
+        for start, stop in _ranges(total, 1):
+            m, hashed = kernel(list(keyspace.iter_blocks(spec, start, stop)))
+            digests[n:n + len(m)] = m
+            n += len(m)
+            if hashed is not None:
+                kept[start:stop] = False
+                kept[hashed + start] = True
+        if n == total:
+            return cls(digests, None)
+        return cls(digests[:n].copy(), np.flatnonzero(kept))
+
+    @property
+    def nbytes(self) -> int:
+        return self.digests.nbytes + (0 if self.hashed is None
+                                      else self.hashed.nbytes)
+
+    def rows(self, start: int, stop: int
+             ) -> tuple[np.ndarray, np.ndarray | None]:
+        """The kernel's (digests, hashed) for candidates [start, stop)."""
+        if self.hashed is None:
+            return self.digests[start:stop], None
+        a, b = np.searchsorted(self.hashed, (start, stop)).tolist()
+        return self.digests[a:b], self.hashed[a:b] - start
+
+
 def _scan_range(v: PredicateVector, spec: keyspace.KeyspaceSpec,
-                algo_id: str, start: int, stop: int
+                algo_id: str, start: int, stop: int,
+                table: DigestTable | None = None
                 ) -> tuple[int, int, Hits]:
-    """Hash candidates [start, stop) in one kernel call over their parts
-    and filter the digest matrix once; return (hashed, skipped, hits in
-    range order)."""
+    """Hash candidates [start, stop) in one kernel call over their parts,
+    or slice them from table, and filter the digest matrix once; return
+    (hashed, skipped, hits in range order)."""
     parts = list(keyspace.iter_blocks(spec, start, stop))
-    m, hashed = hashers.block_fn(algo_id)(parts)
+    if table is None:
+        m, hashed = hashers.block_fn(algo_id)(parts)
+    else:
+        m, hashed = table.rows(start, stop)
     rows = compile_filter(v)(m)
     digests = m[rows]
     if hashed is not None:
@@ -235,13 +291,15 @@ def crack(v: PredicateVector, spec: keyspace.KeyspaceSpec, algo_id: str,
 
 def crack_parallel(v: PredicateVector, spec: keyspace.KeyspaceSpec,
                    algo_id: str, sink: Sink, n_workers: int = 1,
-                   progress: Callable[[int, float, float], None] | None = None
-                   ) -> CrackReport:
+                   progress: Callable[[int, float, float], None] | None = None,
+                   table: DigestTable | None = None) -> CrackReport:
     """Same pair sequence as crack(): enumeration order, whatever
     n_workers is.
 
     progress, when given, is called at most every 10^7 hashes with
     (hashed so far, hashes/second, estimated seconds remaining).
+    table, when given, is spec's DigestTable under algo_id; the job then
+    reads its digests from it, in this thread, and forks no worker.
     """
     if n_workers < 1:
         raise ValueError("n_workers must be >= 1")
@@ -264,7 +322,7 @@ def crack_parallel(v: PredicateVector, spec: keyspace.KeyspaceSpec,
 
     workers = []  # (pipe read end, process) of each forked worker
     try:
-        if n_workers > 1 and total > 1:
+        if n_workers > 1 and total > 1 and table is None:
             # fork hands each worker its job without pickling it; SIGTERM
             # stays blocked from the fork until _worker has reset its handler
             ctx = multiprocessing.get_context("fork")
@@ -283,7 +341,7 @@ def crack_parallel(v: PredicateVector, spec: keyspace.KeyspaceSpec,
                     signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         for k, (a, b) in enumerate(ranges):
             if not workers:
-                result = _scan_range(v, spec, algo_id, a, b)
+                result = _scan_range(v, spec, algo_id, a, b, table)
             else:
                 conn, proc = workers[k % n_workers]
                 try:

@@ -147,7 +147,12 @@ CorpusProvider = Callable[[str], tuple[bytes, ...]]
 
 
 class DirectoryCorpus:
-    """Resolve corpus names against files in a directory (cached)."""
+    """Resolve corpus names against files in a directory (cached).
+
+    A name must be a plain entry of the directory: one that holds no
+    ``/`` or NUL and is not empty, ``.`` or ``..``.  Names come from
+    clients, and any other name could reach a file outside it.
+    """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -156,9 +161,19 @@ class DirectoryCorpus:
     def __call__(self, name: str) -> tuple[bytes, ...]:
         if name not in self._cache:
             path = self.root / name
-            if not path.is_file():
+            # the join drops or moves past every name that is not one
+            # entry, except ".." and NUL
+            try:
+                found = (name != ".." and "\0" not in name
+                         and path.name == name and path.is_file())
+            except OSError:  # a name too long for the file system
+                found = False
+            if not found:
                 raise UnresolvedCorpusError(f"no corpus named {name!r}")
-            self._cache[name] = load_wordlist(path)[0]
+            # threads that load one name at once all keep the first list,
+            # so a name stands for one list (a server's digest tables
+            # rely on it) even if the file changes in between
+            self._cache.setdefault(name, load_wordlist(path)[0])
         return self._cache[name]
 
 

@@ -356,6 +356,7 @@ class _JobHandler(socketserver.BaseRequestHandler):
             spec = keyspace.parse_descriptor(job.keyspace_descriptor)
         except keyspace.KeyspaceError as exc:
             raise ProtocolViolation("bad-descriptor", str(exc)) from None
+        table = None
         if not spec.resolved:
             if job.corpus:
                 words, _ = keyspace.ingest_wordlist(job.corpus)
@@ -365,11 +366,13 @@ class _JobHandler(socketserver.BaseRequestHandler):
                     spec = keyspace.resolve(spec, server.corpus)
                 except UnresolvedCorpusError as exc:
                     raise ProtocolViolation("unknown-corpus", str(exc)) from None
+                if spec.mode == "wordlist":
+                    table = server.digest_table(spec, job.algo_id)
 
         sink = _ChunkSink(sock)
         start = time.perf_counter()
         report = engine.crack_parallel(vector, spec, job.algo_id, sink,
-                                       n_workers=server.workers)
+                                       n_workers=server.workers, table=table)
         elapsed_ms = int((time.perf_counter() - start) * 1000)
         send_message(sock, JobDone(report.hashed_count, report.hit_count,
                                    elapsed_ms, report.skipped_count))
@@ -381,7 +384,14 @@ class _TCPServer(socketserver.ThreadingTCPServer):
 
 
 class CrackServer:
-    """The daemon side: one crack job per connection, streamed results."""
+    """The daemon side: one crack job per connection, streamed results.
+
+    The digests of a wordlist from the corpus directory depend only on
+    the list and the algorithm, so the first ``wordlist:<name>`` job under
+    an algorithm hashes the list into an ``engine.DigestTable``, kept in
+    ``tables`` for the server's life, and later jobs over it only filter.
+    Inline corpora, hybrids and masks are hashed per job.
+    """
 
     def __init__(self, host: str = "127.0.0.1", port: int = DEFAULT_PORT,
                  corpus_dir: str | Path | None = None, workers: int = 1,
@@ -394,6 +404,20 @@ class CrackServer:
         self._tcp = _TCPServer((host, port), _JobHandler)
         self._tcp.owner = self  # type: ignore[attr-defined]
         self._served = False
+        # (corpus name, algo) -> its digest table; built under the lock
+        self.tables: dict[tuple[str, str], engine.DigestTable] = {}
+        self._tables_lock = threading.Lock()
+
+    def digest_table(self, spec: keyspace.KeyspaceSpec, algo_id: str
+                     ) -> engine.DigestTable:
+        """The table of a wordlist spec resolved from the corpus
+        directory, built by the first job that asks for it; jobs that
+        ask while it is built wait for it."""
+        key = (spec.wordlist_name, algo_id)
+        with self._tables_lock:
+            if key not in self.tables:
+                self.tables[key] = engine.DigestTable.build(spec, algo_id)
+            return self.tables[key]
 
     @property
     def address(self) -> tuple[str, int]:

@@ -29,6 +29,19 @@ def expand_parts(parts):
             for s in suffixes[lo:hi]]
 
 
+# Word endings for ntlm's cases: ASCII, accented and 4-byte UTF-8, a
+# latin-1 byte and a UTF-8-encoded surrogate (neither of those two is
+# UTF-8, so ntlm skips them), and a word of two MD4 blocks.
+_ENDINGS = (b"plain", "café".encode(), b"lat\xefn", "\U0001f511".encode(),
+            b"\xed\xa0\x80", b"y" * 30)
+
+
+def mixed_words(n):
+    """n distinct words, a third of them not UTF-8."""
+    return tuple(b"%d" % (i // len(_ENDINGS)) + _ENDINGS[i % len(_ENDINGS)]
+                 for i in range(n))
+
+
 # Toy example 1: CRC-32 dictionary attack over 14,344,391 unique passwords.
 TOY1_TARGET_HEX = "c6bfaba2"
 TOY1_TARGET_PASSWORD = b"0BChrist"

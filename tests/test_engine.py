@@ -263,6 +263,73 @@ class TestScanRange:
         assert proc.stdout.strip() == "[]"
 
 
+def forbidden(*args):
+    raise AssertionError("a job with a digest table called this")
+
+
+class TestDigestTable:
+    @pytest.mark.parametrize("algo_id", ["crc32", "sha256", "ntlm"])
+    def test_slices_are_the_kernels_output(self, monkeypatch, algo_id):
+        # a cap of 7 cuts the build into 9 ranges, each of which skips
+        # rows under ntlm
+        monkeypatch.setattr(keyspace, "_BLOCK_CAP", 7)
+        words = fixtures.mixed_words(60)
+        spec = keyspace.make_keyspace("wordlist:w", words=words)
+        table = engine.DigestTable.build(spec, algo_id)
+        digests = [fixtures.oracle_digest(algo_id, pw) for pw in words]
+        hashed = [i for i, d in enumerate(digests) if d is not None]
+        width = hashers.descriptor(algo_id).digest_nibbles // 2
+        assert table.digests.shape == (len(hashed), width)
+        assert table.digests.tobytes() == b"".join(filter(None, digests))
+        if algo_id == "ntlm":
+            assert table.hashed.tolist() == hashed
+            assert table.nbytes == len(hashed) * (width + 8)
+        else:
+            assert table.hashed is None
+            assert table.nbytes == len(hashed) * width
+        kernel = hashers.block_fn(algo_id)
+        rng = random.Random(5)
+        for _ in range(40):
+            start = rng.randrange(len(words) + 1)
+            stop = rng.randrange(start, len(words) + 1)
+            m, rows = table.rows(start, stop)
+            want_m, want_rows = kernel(
+                list(keyspace.iter_blocks(spec, start, stop)))
+            every = list(range(stop - start))
+            assert m.tobytes() == want_m.tobytes()
+            assert (every if rows is None else rows.tolist()) == (
+                every if want_rows is None else want_rows.tolist())
+
+    @pytest.mark.parametrize("algo_id", ["crc32", "sha256", "ntlm"])
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_job_reads_the_table_in_its_own_thread(self, monkeypatch,
+                                                   algo_id, n_workers):
+        monkeypatch.setattr(keyspace, "_BLOCK_CAP", 7)
+        spec = keyspace.make_keyspace("wordlist:w",
+                                      words=fixtures.mixed_words(60))
+        nibbles = hashers.descriptor(algo_id).digest_nibbles
+        v = PredicateVector(((0, 7), (2, 9)) + ((0, 15),) * (nibbles - 2))
+        pairs, skipped = oracle_pairs(v, spec, algo_id)
+        table = engine.DigestTable.build(spec, algo_id)
+        # the job hashes nothing and forks no worker
+        monkeypatch.setattr(hashers, "block_fn", forbidden)
+        monkeypatch.setattr(multiprocessing, "get_context", forbidden)
+        sink = ListSink()
+        report = crack_parallel(v, spec, algo_id, sink, n_workers=n_workers,
+                                table=table)
+        assert sink.pairs == pairs
+        assert (report.hashed_count, report.skipped_count,
+                report.hit_count) == (60, skipped, len(pairs))
+
+    def test_empty_keyspace(self):
+        spec = keyspace.make_keyspace("wordlist:w", words=())
+        table = engine.DigestTable.build(spec, "sha256")
+        assert table.digests.shape == (0, 32) and table.hashed is None
+        report = crack_parallel(zk_vector(64), spec, "sha256", ListSink(),
+                                table=table)
+        assert report.hashed_count == report.hit_count == 0
+
+
 class TestRanges:
     @given(st.integers(0, 50_000), st.integers(1, 8),
            st.integers(1, 5_000))

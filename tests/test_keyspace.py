@@ -101,6 +101,23 @@ class TestWordlistIngestion:
         with pytest.raises(UnresolvedCorpusError):
             make_keyspace("wordlist:nope", keyspace.DirectoryCorpus(corpus_dir))
 
+    @pytest.mark.parametrize("name", [
+        "../secret", "{secret}", "..", ".", "", "sub/inner", "demo/",
+        "de\0mo", "x" * 300], ids=["up", "absolute", "parent", "dot", "empty",
+                                  "nested", "trailing-slash", "nul",
+                                  "too-long"])
+    def test_directory_corpus_takes_plain_entries_only(self, corpus_dir,
+                                                       name):
+        secret = corpus_dir.parent / "secret"
+        secret.write_bytes(b"hunter2\n")
+        (corpus_dir / "demo").write_bytes(b"one\n")
+        (corpus_dir / "sub").mkdir()
+        (corpus_dir / "sub" / "inner").write_bytes(b"two\n")
+        corpus = keyspace.DirectoryCorpus(corpus_dir)
+        with pytest.raises(UnresolvedCorpusError):
+            corpus(name.format(secret=secret))
+        assert corpus("demo") == (b"one",)
+
 
 class TestEnumeration:
     def test_two_digit_mask_order(self):

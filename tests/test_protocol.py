@@ -2,17 +2,25 @@ import random
 import socket
 import struct
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from threepc import hashers, keyspace, planner, protocol
+from threepc import engine, hashers, keyspace, planner, protocol
 from threepc.cli import EXIT_OK, EXIT_PROTOCOL, client_main
 from threepc.engine import ListSink, crack
 from threepc.potfile import Hits, PotfileWriter, iter_potfile
-from threepc.predicate import parse_vector, serialize_vector, zk_vector
+from threepc.predicate import (
+    Digest,
+    eval_predicate,
+    parse_vector,
+    serialize_vector,
+    zk_vector,
+)
 from threepc.protocol import (
     CandidateChunk,
     ConnectionLostError,
@@ -305,6 +313,158 @@ class TestServer:
             free_port = probe.getsockname()[1]
         with pytest.raises(ConnectionLostError):
             run_job(plan, ("127.0.0.1", free_port), tmp_path / "z.pot")
+
+
+@contextmanager
+def serving(corpus_dir, workers):
+    server = protocol.CrackServer("127.0.0.1", 0, corpus_dir=corpus_dir,
+                                  workers=workers)
+    server.serve_in_background()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+
+
+def raw_job(address, job):
+    """Submit job through raw frames; the messages that answer it, read
+    until the server closes, and their bytes."""
+    with socket.create_connection(address, timeout=30) as sock:
+        send_message(sock, HashInfoRequest(job.algo_id))
+        assert isinstance(recv_message(sock), HashInfoAck)
+        send_message(sock, job)
+        data = b""
+        while chunk := sock.recv(65536):
+            data += chunk
+    messages, at = [], 0
+    while at < len(data):
+        length, tag = struct.unpack_from(">IB", data, at)
+        messages.append(decode_payload(tag, data[at + 5:at + 5 + length]))
+        at += 5 + length
+    return messages, data
+
+
+def write_corpus(corpus_dir, name, words):
+    (corpus_dir / name).write_bytes(b"\n".join(words) + b"\n")
+
+
+def oracle_potfile(plan, words):
+    """The plan's potfile over a wordlist, from the oracle's hashes and
+    the pure predicate."""
+    v = parse_vector(plan.vector_hex)
+    lines = []
+    for pw in words:
+        raw = fixtures.oracle_digest(plan.algo_id, pw)
+        if raw is not None and eval_predicate(v, Digest.from_bytes(raw)):
+            lines.append(raw.hex().encode() + b":" + pw + b"\n")
+    return b"".join(lines)
+
+
+def counts(report):
+    return report.hashed_count, report.skipped_count, report.hit_count
+
+
+class TestCorpusNames:
+    @pytest.mark.parametrize("descriptor", [
+        "wordlist:../secret.txt", "wordlist:{secret}", "wordlist:..",
+        "hybrid:../secret.txt:?w?d", "hybrid:{secret}:?w?d",
+    ], ids=["wordlist-up", "wordlist-absolute", "wordlist-parent",
+            "hybrid-up", "hybrid-absolute"])
+    def test_name_outside_the_directory_is_unknown(self, local_server,
+                                                   corpus_dir, descriptor):
+        secret = corpus_dir.parent / "secret.txt"
+        secret.write_bytes(b"hunter2\nswordfish\n")
+        job = JobSubmit("crc32", "0f" * 8, descriptor.format(secret=secret))
+        messages, data = raw_job(local_server.address, job)
+        assert [type(m) for m in messages] == [ErrorReply]
+        assert messages[0].code == "unknown-corpus"
+        assert b"hunter2" not in data and b"swordfish" not in data
+
+
+class TestDigestTables:
+    @pytest.mark.parametrize("algo", ["crc32", "sha256", "ntlm"])
+    def test_cold_and_warm_jobs_equal_offline(self, local_server, corpus_dir,
+                                              tmp_path, monkeypatch, algo):
+        # a small cap cuts the table's build and each job into 6 ranges,
+        # each of which skips rows under ntlm
+        monkeypatch.setattr(keyspace, "_BLOCK_CAP", 500)
+        words = fixtures.mixed_words(3000)
+        write_corpus(corpus_dir, "mixed", words)
+        plan = _make_plan(words[6], "wordlist:mixed", 300.0, algo,
+                          len(words), seed=21)
+        spec = keyspace.make_keyspace(plan.keyspace_descriptor,
+                                      keyspace.DirectoryCorpus(corpus_dir))
+        with PotfileWriter(tmp_path / "offline.pot") as out:
+            offline = crack(parse_vector(plan.vector_hex), spec, algo, out)
+        expected = (tmp_path / "offline.pot").read_bytes()
+        assert expected == oracle_potfile(plan, words)
+        assert offline.skipped_count == (1000 if algo == "ntlm" else 0)
+        for run in ("cold", "warm"):
+            report = run_job(plan, local_server.address,
+                             tmp_path / f"{run}.pot")
+            assert (tmp_path / f"{run}.pot").read_bytes() == expected
+            assert counts(report) == counts(offline)
+        assert list(local_server.tables) == [("mixed", algo)]
+        table = local_server.tables["mixed", algo]
+        rows = offline.hashed_count - offline.skipped_count
+        width = hashers.descriptor(algo).digest_nibbles // 2
+        assert table.digests.shape == (rows, width)
+        if algo == "ntlm":  # plus the rows' keyspace offsets
+            assert table.nbytes == rows * width + rows * 8
+        else:
+            assert table.hashed is None and table.nbytes == rows * width
+
+    def test_concurrent_cold_sessions_build_one_table(self, corpus_dir,
+                                                      tmp_path, monkeypatch):
+        build = engine.DigestTable.build
+        builds = []
+
+        def slow_build(spec, algo_id):
+            builds.append((spec.wordlist_name, algo_id))
+            time.sleep(0.3)  # the other session's job arrives meanwhile
+            return build(spec, algo_id)
+
+        monkeypatch.setattr(engine.DigestTable, "build",
+                            staticmethod(slow_build))
+        words = fixtures.mixed_words(3000)
+        write_corpus(corpus_dir, "mixed", words)
+        plans = [_make_plan(words[k], "wordlist:mixed", 300.0, "crc32",
+                            len(words), seed=k) for k in (6, 601)]
+        with serving(corpus_dir, workers=2) as server, \
+                ThreadPoolExecutor(max_workers=2) as pool:
+            reports = list(pool.map(
+                lambda i: run_job(plans[i], server.address,
+                                  tmp_path / f"s{i}.pot", timeout=60),
+                range(2)))
+        assert builds == [("mixed", "crc32")]
+        for i, plan in enumerate(plans):
+            assert (tmp_path / f"s{i}.pot").read_bytes() == oracle_potfile(
+                plan, words)
+            assert reports[i].hashed_count == len(words)
+
+    def test_only_corpus_wordlists_get_a_table(self, local_server,
+                                               corpus_dir):
+        write_corpus(corpus_dir, "demo", [b"alpha", b"bravo"])
+        uploaded = b"charlie\ndelta\n"
+        for descriptor, corpus, hashed in [
+                ("wordlist:uploaded", uploaded, 2),
+                ("hybrid:uploaded:?w?d", uploaded, 20),
+                ("hybrid:demo:?w?d", b"", 20),
+                ("mask:?d?d", b"", 100)]:
+            messages, _ = raw_job(local_server.address, JobSubmit(
+                "crc32", "0f" * 8, descriptor, corpus))
+            assert messages[-1].hashed_count == hashed
+        # a client cannot grow the server's memory by uploading lists
+        assert local_server.tables == {}
+        raw_job(local_server.address,
+                JobSubmit("crc32", "0f" * 8, "wordlist:demo"))
+        assert list(local_server.tables) == [("demo", "crc32")]
+        # an upload under a corpus's name is hashed, not read from its table
+        messages, _ = raw_job(local_server.address, JobSubmit(
+            "crc32", "0f" * 8, "wordlist:demo", uploaded))
+        assert sorted(pw for m in messages[:-1]
+                      for pw, _ in m.hits.pairs()) == [b"charlie", b"delta"]
+        assert list(local_server.tables) == [("demo", "crc32")]
 
 
 def chunk_payload(digests, lengths, passwords, count=None):
