@@ -32,11 +32,17 @@ in concurrent threads fork one at a time (``_FORK_LOCK``), so no worker
 holds another job's write end.
 
 A job may instead take its digests from a ``DigestTable``: the kernel's
-output over the whole keyspace, computed once over the same ranges.
-``_scan_range`` then slices the table where it would call the kernel,
-and the rest of the scan is unchanged.  Such a job hashes nothing, so it
-runs in the calling thread whatever n_workers is: forking a large
-process costs more than the filter it would spread.
+output over the whole keyspace, computed once over the same ranges, and
+the keyspace's candidates as columns, one byte blob and an offset array
+in enumeration order.  ``_scan_range`` then slices the table where it
+would call the kernel, filters it the same way, and gathers the kept
+rows' passwords from the columns in numpy, with no Python work per hit.
+Such a job hashes nothing, so it runs in the calling thread whatever
+n_workers is: forking a large process costs more than the filter it
+would spread.
+
+``crack_parallel`` compiles the predicate once per job and hands the
+compiled filter to every range, its own and its forked workers'.
 
 The sink receives rows in keyspace enumeration order at any worker
 count: kernels return rows in range order and ranges are consumed in
@@ -66,6 +72,10 @@ PROGRESS_EVERY = 10_000_000
 # job's write end, and a worker death there would be seen only once those
 # workers exit.
 _FORK_LOCK = threading.Lock()
+
+
+# compile_filter's output: (n, digest bytes) matrix -> ascending kept rows
+Filter = Callable[[np.ndarray], np.ndarray]
 
 
 class Sink(Protocol):
@@ -139,8 +149,7 @@ def compile_checker(v: PredicateVector) -> Callable[[bytes], bool]:
     return check
 
 
-def compile_filter(v: PredicateVector
-                   ) -> Callable[[np.ndarray], np.ndarray]:
+def compile_filter(v: PredicateVector) -> Filter:
     """The predicate over a block: ``keep(m)`` takes an (n, digest bytes)
     uint8 matrix and returns the ascending indices of the rows that
     satisfy v.
@@ -181,37 +190,55 @@ def _ranges(total: int, n_workers: int) -> Iterator[tuple[int, int]]:
 class DigestTable:
     """A keyspace's digests: the (n_hashed, digest bytes) uint8 matrix in
     enumeration order, and the ascending keyspace offsets of its rows, or
-    None when every candidate was hashed (only ntlm skips some).  Jobs
-    only read it, so concurrent jobs share one table."""
+    None when every candidate was hashed (only ntlm skips some).  Its
+    candidates too, hashed or not, as columns: candidate i is bytes
+    ends[i]:ends[i + 1] of passwords.  Jobs only read it, so concurrent
+    jobs share one table."""
 
     digests: np.ndarray
     hashed: np.ndarray | None
+    passwords: np.ndarray  # (sum of candidate lengths,) uint8
+    ends: np.ndarray  # (|DS| + 1,) int64, ends[0] = 0
 
     @classmethod
     def build(cls, spec: keyspace.KeyspaceSpec, algo_id: str
               ) -> "DigestTable":
-        """One kernel call per range of the serial cut, as crack() makes."""
+        """One kernel call per range of the serial cut, as crack() makes;
+        the candidates are joined from the same parts."""
         kernel = hashers.block_fn(algo_id)
         total = keyspace.spec_cardinality(spec)
         width = hashers.descriptor(algo_id).digest_nibbles // 2
         digests = np.empty((total, width), np.uint8)
         kept = np.ones(total, bool)
+        ends = np.zeros(total + 1, np.int64)
+        joined: list[bytes] = []
         n = 0
         for start, stop in _ranges(total, 1):
-            m, hashed = kernel(list(keyspace.iter_blocks(spec, start, stop)))
+            parts = list(keyspace.iter_blocks(spec, start, stop))
+            m, hashed = kernel(parts)
             digests[n:n + len(m)] = m
             n += len(m)
             if hashed is not None:
                 kept[start:stop] = False
                 kept[hashed + start] = True
+            at = start + 1
+            for prefix, suffixes, lo, hi in parts:
+                run = suffixes[lo:hi]
+                joined.append(b"".join([prefix + s for s in run]) if prefix
+                              else b"".join(run))
+                ends[at:at + hi - lo] = np.fromiter(
+                    map(len, run), np.int64, hi - lo) + len(prefix)
+                at += hi - lo
+        np.cumsum(ends, out=ends)
+        passwords = np.frombuffer(b"".join(joined), np.uint8)
         if n == total:
-            return cls(digests, None)
-        return cls(digests[:n].copy(), np.flatnonzero(kept))
+            return cls(digests, None, passwords, ends)
+        return cls(digests[:n].copy(), np.flatnonzero(kept), passwords, ends)
 
     @property
     def nbytes(self) -> int:
-        return self.digests.nbytes + (0 if self.hashed is None
-                                      else self.hashed.nbytes)
+        return (self.digests.nbytes + self.passwords.nbytes + self.ends.nbytes
+                + (0 if self.hashed is None else self.hashed.nbytes))
 
     def rows(self, start: int, stop: int
              ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -221,25 +248,37 @@ class DigestTable:
         a, b = np.searchsorted(self.hashed, (start, stop)).tolist()
         return self.digests[a:b], self.hashed[a:b] - start
 
+    def hits(self, digests: np.ndarray, offsets: np.ndarray) -> Hits:
+        """The batch of digests[i] and the candidate at keyspace offset
+        offsets[i], gathered from the columns in one pass."""
+        starts = self.ends[offsets]
+        lengths = self.ends[offsets + 1] - starts
+        # byte k of row i is passwords[starts[i] + k], and lands after the
+        # bytes of the rows before it
+        at = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        at += np.arange(len(at))
+        return Hits(digests, lengths, self.passwords[at].tobytes())
 
-def _scan_range(v: PredicateVector, spec: keyspace.KeyspaceSpec,
-                algo_id: str, start: int, stop: int,
-                table: DigestTable | None = None
+
+def _scan_range(keep: Filter, spec: keyspace.KeyspaceSpec, algo_id: str,
+                start: int, stop: int, table: DigestTable | None = None
                 ) -> tuple[int, int, Hits]:
     """Hash candidates [start, stop) in one kernel call over their parts,
-    or slice them from table, and filter the digest matrix once; return
-    (hashed, skipped, hits in range order)."""
-    parts = list(keyspace.iter_blocks(spec, start, stop))
+    or slice them from table, and filter the digest matrix once with
+    keep, a compile_filter; return (hashed, skipped, hits in range
+    order)."""
     if table is None:
+        parts = list(keyspace.iter_blocks(spec, start, stop))
         m, hashed = hashers.block_fn(algo_id)(parts)
     else:
         m, hashed = table.rows(start, stop)
-    rows = compile_filter(v)(m)
+    rows = keep(m)
     digests = m[rows]
     if hashed is not None:
         rows = hashed[rows]
-    return (stop - start, stop - start - len(m),
-            Hits.from_rows(digests, _passwords(parts, rows)))
+    hits = (Hits.from_rows(digests, _passwords(parts, rows)) if table is None
+            else table.hits(digests, rows + start))
+    return stop - start, stop - start - len(m), hits
 
 
 def _passwords(parts: list[hashers.Part], offsets: np.ndarray
@@ -261,8 +300,8 @@ def _passwords(parts: list[hashers.Part], offsets: np.ndarray
     return picked
 
 
-def _worker(conn, v: PredicateVector, spec: keyspace.KeyspaceSpec,
-            algo_id: str, k: int, n_workers: int) -> None:
+def _worker(conn, keep: Filter, spec: keyspace.KeyspaceSpec, algo_id: str,
+            k: int, n_workers: int) -> None:
     """Send each result of ranges k, k + n_workers, ... down conn, in order."""
     # An inherited SIGTERM handler (threepc-server raises SystemExit from
     # one) can keep a worker blocked in a lock wait alive through the
@@ -274,7 +313,7 @@ def _worker(conn, v: PredicateVector, spec: keyspace.KeyspaceSpec,
                                     n_workers), k, None, n_workers)
     try:
         for a, b in mine:
-            conn.send(_scan_range(v, spec, algo_id, a, b))
+            conn.send(_scan_range(keep, spec, algo_id, a, b))
     except Exception as exc:
         conn.send(exc)
 
@@ -309,6 +348,7 @@ def crack_parallel(v: PredicateVector, spec: keyspace.KeyspaceSpec,
             f"vector length {len(v)} != {algo_id} digest length "
             f"{desc.digest_nibbles}"
         )
+    keep = compile_filter(v)
     total = keyspace.spec_cardinality(spec)
     ranges = _ranges(total, n_workers)
     start_time = time.perf_counter()
@@ -333,7 +373,7 @@ def crack_parallel(v: PredicateVector, spec: keyspace.KeyspaceSpec,
                     for k in range(n_workers):
                         conn, send_end = ctx.Pipe(duplex=False)
                         proc = ctx.Process(target=_worker, daemon=True, args=(
-                            send_end, v, spec, algo_id, k, n_workers))
+                            send_end, keep, spec, algo_id, k, n_workers))
                         proc.start()
                         workers.append((conn, proc))
                         send_end.close()  # conn reads EOF once proc is gone
@@ -341,7 +381,7 @@ def crack_parallel(v: PredicateVector, spec: keyspace.KeyspaceSpec,
                     signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         for k, (a, b) in enumerate(ranges):
             if not workers:
-                result = _scan_range(v, spec, algo_id, a, b, table)
+                result = _scan_range(keep, spec, algo_id, a, b, table)
             else:
                 conn, proc = workers[k % n_workers]
                 try:

@@ -404,17 +404,22 @@ class CrackServer:
         self._tcp = _TCPServer((host, port), _JobHandler)
         self._tcp.owner = self  # type: ignore[attr-defined]
         self._served = False
-        # (corpus name, algo) -> its digest table; built under the lock
+        # (corpus name, algo) -> its digest table, built under that key's
+        # lock in _building; _tables_lock guards _building alone
         self.tables: dict[tuple[str, str], engine.DigestTable] = {}
+        self._building: dict[tuple[str, str], threading.Lock] = {}
         self._tables_lock = threading.Lock()
 
     def digest_table(self, spec: keyspace.KeyspaceSpec, algo_id: str
                      ) -> engine.DigestTable:
         """The table of a wordlist spec resolved from the corpus
         directory, built by the first job that asks for it; jobs that
-        ask while it is built wait for it."""
+        ask for it while it is built wait for it, and no other job
+        does."""
         key = (spec.wordlist_name, algo_id)
         with self._tables_lock:
+            lock = self._building.setdefault(key, threading.Lock())
+        with lock:
             if key not in self.tables:
                 self.tables[key] = engine.DigestTable.build(spec, algo_id)
             return self.tables[key]

@@ -1,3 +1,4 @@
+import itertools
 import multiprocessing
 import os
 import random
@@ -9,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threepc import engine, hashers, keyspace
@@ -174,8 +175,8 @@ words = (b"plain", "caf\\u00e9".encode(), b"lat\\xefn")
 spec = keyspace.make_keyspace("hybrid:w:?w?d", words=words)
 before = set(sys.modules)
 for algo, nibbles in (("crc32", 8), ("sha256", 64), ("ntlm", 32)):
-    _, skipped, hits = engine._scan_range(zk_vector(nibbles), spec, algo,
-                                          0, 30)
+    keep = engine.compile_filter(zk_vector(nibbles))
+    _, skipped, hits = engine._scan_range(keep, spec, algo, 0, 30)
     assert len(hits) == 30 - skipped
     assert skipped == (10 if algo == "ntlm" else 0)
 print(sorted(set(sys.modules) - before))
@@ -207,8 +208,8 @@ class TestScanRange:
             start = rng.randrange(total)
             stop = rng.randrange(start, total + 1)
             calls.clear()
-            result = engine._scan_range(zk_vector(8), spec, "crc32",
-                                        start, stop)
+            result = engine._scan_range(compile_filter(zk_vector(8)), spec,
+                                        "crc32", start, stop)
             assert calls == [list(keyspace.enumerate_range(spec, start, stop))]
             assert calls[0] == full[desc][start:stop]
             assert result == (stop - start, 0, Hits.from_pairs(
@@ -246,7 +247,7 @@ class TestScanRange:
                              and eval_predicate(v, Digest.from_bytes(d))]
                     skipped = digests[start:stop].count(None)
                     hashed, got_skipped, hits = engine._scan_range(
-                        v, spec, algo_id, start, stop)
+                        compile_filter(v), spec, algo_id, start, stop)
                     assert (hashed, got_skipped, hits.pairs()) == (
                         stop - start, skipped, pairs)
 
@@ -283,10 +284,16 @@ class TestDigestTable:
         assert table.digests.tobytes() == b"".join(filter(None, digests))
         if algo_id == "ntlm":
             assert table.hashed.tolist() == hashed
-            assert table.nbytes == len(hashed) * (width + 8)
         else:
             assert table.hashed is None
-            assert table.nbytes == len(hashed) * width
+        # every candidate, hashed or not, as one blob and n + 1 offsets
+        assert table.passwords.tobytes() == b"".join(words)
+        assert table.ends.tolist() == [0, *itertools.accumulate(
+            map(len, words))]
+        assert table.nbytes == (len(hashed) * width + 8 * (len(words) + 1)
+                                + sum(map(len, words))
+                                + (8 * len(hashed) if algo_id == "ntlm"
+                                   else 0))
         kernel = hashers.block_fn(algo_id)
         rng = random.Random(5)
         for _ in range(40):
@@ -311,15 +318,45 @@ class TestDigestTable:
         v = PredicateVector(((0, 7), (2, 9)) + ((0, 15),) * (nibbles - 2))
         pairs, skipped = oracle_pairs(v, spec, algo_id)
         table = engine.DigestTable.build(spec, algo_id)
-        # the job hashes nothing and forks no worker
+        # the job hashes nothing, forks no worker and builds no password
+        # in Python
         monkeypatch.setattr(hashers, "block_fn", forbidden)
         monkeypatch.setattr(multiprocessing, "get_context", forbidden)
+        monkeypatch.setattr(engine, "_passwords", forbidden)
+        monkeypatch.setattr(Hits, "from_rows", forbidden)
         sink = ListSink()
         report = crack_parallel(v, spec, algo_id, sink, n_workers=n_workers,
                                 table=table)
         assert sink.pairs == pairs
         assert (report.hashed_count, report.skipped_count,
                 report.hit_count) == (60, skipped, len(pairs))
+
+    @pytest.mark.parametrize("algo_id", ["crc32", "sha256", "ntlm"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_table_scan_is_the_kernel_scan(self, algo_id, data):
+        # mixed_words' kinds, plus the bytes a potfile line must carry
+        words = fixtures.mixed_words(48) + (b"co:lon", b"cr\rlf", b":",
+                                            b"\r")
+        nibbles = hashers.descriptor(algo_id).digest_nibbles
+        pinned = data.draw(st.dictionaries(
+            st.integers(0, nibbles - 1),
+            st.lists(st.integers(0, 15), min_size=2, max_size=2).map(sorted),
+            max_size=3))
+        keep = compile_filter(PredicateVector(tuple(
+            tuple(pinned.get(i, (0, 15))) for i in range(nibbles))))
+        desc = data.draw(st.sampled_from(["wordlist:w", "hybrid:w:?d?w"]))
+        with mock.patch.object(keyspace, "_BLOCK_CAP",
+                               data.draw(st.integers(1, 64))):
+            # built under the cap, as its layout follows the cap at first use
+            spec = keyspace.make_keyspace(desc, words=words)
+            table = engine.DigestTable.build(spec, algo_id)
+            total = keyspace.spec_cardinality(spec)
+            start = data.draw(st.integers(0, total))
+            stop = data.draw(st.integers(start, total))
+            assert engine._scan_range(keep, spec, algo_id, start, stop,
+                                      table) == engine._scan_range(
+                keep, spec, algo_id, start, stop)
 
     def test_empty_keyspace(self):
         spec = keyspace.make_keyspace("wordlist:w", words=())
@@ -517,10 +554,10 @@ class TestCrackParallel:
         slow_spec = keyspace.make_keyspace("mask:?d?d?d?d?d")
         scan = engine._scan_range
 
-        def scan_or_die(v, spec, algo_id, start, stop):
+        def scan_or_die(keep, spec, algo_id, start, stop):
             if spec is dies_spec:
                 os._exit(3)
-            return scan(v, spec, algo_id, start, stop)
+            return scan(keep, spec, algo_id, start, stop)
 
         monkeypatch.setattr(ctx, "Pipe", stalling_pipe)
         monkeypatch.setattr(engine, "_scan_range", scan_or_die)

@@ -291,7 +291,8 @@ def scan_block(algo, v, block):
     """The engine's scan of one range holding exactly this block, its
     hit batch as (password, digest) pairs."""
     spec = keyspace.make_keyspace("wordlist:w", words=block)
-    hashed, skipped, hits = engine._scan_range(v, spec, algo, 0, len(block))
+    hashed, skipped, hits = engine._scan_range(engine.compile_filter(v), spec,
+                                               algo, 0, len(block))
     assert hashed == len(block)
     assert hits.width == hashers.descriptor(algo).digest_nibbles // 2
     assert hits.lines() == b"".join(d.hex().encode() + b":" + pw + b"\n"

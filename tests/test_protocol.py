@@ -409,10 +409,12 @@ class TestDigestTables:
         rows = offline.hashed_count - offline.skipped_count
         width = hashers.descriptor(algo).digest_nibbles // 2
         assert table.digests.shape == (rows, width)
-        if algo == "ntlm":  # plus the rows' keyspace offsets
-            assert table.nbytes == rows * width + rows * 8
-        else:
-            assert table.hashed is None and table.nbytes == rows * width
+        # the digests, every word's end offset plus a leading 0, the
+        # words' bytes and, under ntlm, the hashed rows' keyspace offsets
+        assert table.nbytes == (rows * width + 8 * (len(words) + 1)
+                                + sum(map(len, words))
+                                + (8 * rows if algo == "ntlm" else 0))
+        assert (table.hashed is None) == (algo != "ntlm")
 
     def test_concurrent_cold_sessions_build_one_table(self, corpus_dir,
                                                       tmp_path, monkeypatch):
@@ -441,6 +443,44 @@ class TestDigestTables:
             assert (tmp_path / f"s{i}.pot").read_bytes() == oracle_potfile(
                 plan, words)
             assert reports[i].hashed_count == len(words)
+
+    def test_a_cold_build_blocks_only_its_own_table(self, local_server,
+                                                    corpus_dir, tmp_path,
+                                                    monkeypatch):
+        build = engine.DigestTable.build
+        slow_started, warm_done = threading.Event(), threading.Event()
+        saw_warm_done = []
+
+        def slow_build(spec, algo_id):
+            if spec.wordlist_name == "slow":
+                slow_started.set()
+                # slowed until the warm job over "fast" is done, at most 5 s
+                saw_warm_done.append(warm_done.wait(5))
+            return build(spec, algo_id)
+
+        monkeypatch.setattr(engine.DigestTable, "build",
+                            staticmethod(slow_build))
+        words = fixtures.mixed_words(300)
+        for name in ("fast", "slow"):
+            write_corpus(corpus_dir, name, words)
+        fast, slow = (_make_plan(words[6], f"wordlist:{name}", 30.0,
+                                 "crc32", len(words), seed=5)
+                      for name in ("fast", "slow"))
+        run_job(fast, local_server.address, tmp_path / "cold.pot")
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            cold = pool.submit(run_job, slow, local_server.address,
+                               tmp_path / "slow.pot", timeout=60)
+            assert slow_started.wait(10)
+            run_job(fast, local_server.address, tmp_path / "warm.pot",
+                    timeout=60)
+            warm_done.set()
+            cold.result(timeout=60)
+        assert saw_warm_done == [True]
+        for plan, pot in ((fast, "cold"), (fast, "warm"), (slow, "slow")):
+            assert (tmp_path / f"{pot}.pot").read_bytes() == oracle_potfile(
+                plan, words)
+        assert sorted(local_server.tables) == [("fast", "crc32"),
+                                               ("slow", "crc32")]
 
     def test_only_corpus_wordlists_get_a_table(self, local_server,
                                                corpus_dir):
